@@ -1,5 +1,6 @@
-//! Objective-store benchmark: sustained upsert throughput per sync
-//! policy, WAL replay (recovery) time as a function of log size, and
+//! Objective-store benchmark: sustained upsert throughput per commit arm
+//! (fsync per record, one group commit per 15 same-company records, and no
+//! fsync), WAL replay (recovery) time as a function of log size, and
 //! concurrent read latency while a writer is ingesting.
 //!
 //! Usage:
@@ -25,10 +26,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// Deterministic record stream; `salt` varies the detail fields so the
-/// same keys can be re-ingested as merges rather than no-ops.
-fn record(i: usize, salt: usize) -> ObjectiveRecord {
+/// same keys can be re-ingested as merges rather than no-ops. Each run of
+/// `batch` consecutive records shares one company.
+fn record(i: usize, salt: usize, batch: usize) -> ObjectiveRecord {
     ObjectiveRecord {
-        company: format!("Company-{:03}", i % 200),
+        company: format!("Company-{:03}", (i / batch) % 200),
         document: format!("report-{}", i % 11),
         objective: format!(
             "Objective #{i}: cut scope {} emissions {}% by {}.",
@@ -50,38 +52,37 @@ fn config(sync: SyncPolicy) -> StoreConfig {
     StoreConfig { shards: 8, sync, ..StoreConfig::default() }
 }
 
-fn policy_name(sync: SyncPolicy) -> &'static str {
-    match sync {
-        SyncPolicy::Always => "fsync_always",
-        SyncPolicy::EveryN(_) => "fsync_every_64",
-        SyncPolicy::OsOnly => "os_only",
-    }
-}
-
-/// Upserts/sec for the three streaming paths (fresh insert, idempotent
-/// repeat, field-level merge) under one sync policy.
-fn upsert_dimension(n: usize, sync: SyncPolicy) -> Json {
-    let dir = tmp_dir(policy_name(sync));
+/// Upserts/sec and fsyncs per record for the three streaming paths (fresh
+/// insert, idempotent repeat, field-level merge) in one commit arm: a sync
+/// policy, and `batch` same-company records per `upsert_batch` call.
+fn upsert_dimension(arm: &str, n: usize, sync: SyncPolicy, batch: usize) -> Json {
+    let dir = tmp_dir(arm);
     let (db, _) = ObjectiveDb::open(&dir, config(sync)).expect("open");
 
     let mut cells = Vec::new();
     for (path, salt) in [("fresh", 0usize), ("repeat", 0), ("merge", 7)] {
+        let syncs_before = db.wal_syncs();
         let start = Instant::now();
-        for i in 0..n {
-            db.upsert(&record(i, salt)).expect("upsert");
+        for first in (0..n).step_by(batch) {
+            let records: Vec<ObjectiveRecord> =
+                (first..(first + batch).min(n)).map(|i| record(i, salt, batch)).collect();
+            for result in db.upsert_batch(&records) {
+                result.expect("upsert");
+            }
         }
         let secs = start.elapsed().as_secs_f64();
         let ops_per_sec = n as f64 / secs.max(1e-9);
+        let fsyncs_per_record = (db.wal_syncs() - syncs_before) as f64 / n as f64;
         println!(
-            "upserts {:>14} {path:6}: {ops_per_sec:10.0} ops/s ({n} records, {:.3}s)",
-            policy_name(sync),
-            secs
+            "upserts {arm:>12} {path:6}: {ops_per_sec:10.0} ops/s, {fsyncs_per_record:.3} \
+             fsyncs/record ({n} records, {secs:.3}s)"
         );
         cells.push(Json::obj(vec![
             ("path", Json::from(path)),
             ("records", Json::from(n as u64)),
             ("seconds", Json::from(secs)),
             ("upserts_per_sec", Json::from(ops_per_sec)),
+            ("fsyncs_per_record", Json::from(fsyncs_per_record)),
         ]));
     }
     db.sync_all().expect("sync");
@@ -89,7 +90,8 @@ fn upsert_dimension(n: usize, sync: SyncPolicy) -> Json {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
     Json::obj(vec![
-        ("sync_policy", Json::from(policy_name(sync))),
+        ("arm", Json::from(arm)),
+        ("records_per_batch", Json::from(batch as u64)),
         ("final_wal_bytes", Json::from(wal_bytes)),
         ("cells", Json::Arr(cells)),
     ])
@@ -104,7 +106,7 @@ fn recovery_dimension(sizes: &[usize]) -> Json {
         {
             let (db, _) = ObjectiveDb::open(&dir, config(SyncPolicy::OsOnly)).expect("open");
             for i in 0..size {
-                db.upsert(&record(i, 0)).expect("populate");
+                db.upsert(&record(i, 0, 1)).expect("populate");
             }
             db.sync_all().expect("sync");
         }
@@ -137,7 +139,7 @@ fn read_under_write_dimension(n: usize, readers: usize) -> Json {
     let db = Arc::new(ObjectiveDb::ephemeral(config(SyncPolicy::OsOnly)));
     // Pre-populate so early reads have real work to do.
     for i in 0..n / 2 {
-        db.upsert(&record(i, 0)).expect("prepopulate");
+        db.upsert(&record(i, 0, 1)).expect("prepopulate");
     }
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -165,7 +167,7 @@ fn read_under_write_dimension(n: usize, readers: usize) -> Json {
 
         let start = Instant::now();
         for i in n / 2..n {
-            db.upsert(&record(i, 0)).expect("upsert under read load");
+            db.upsert(&record(i, 0, 1)).expect("upsert under read load");
         }
         let write_secs = start.elapsed().as_secs_f64();
         stop.store(true, Ordering::Relaxed);
@@ -208,9 +210,9 @@ fn main() {
     let out = args.get("out").unwrap_or("results/BENCH_store.json").to_string();
 
     let upserts = Json::Arr(vec![
-        upsert_dimension(n, SyncPolicy::Always),
-        upsert_dimension(n, SyncPolicy::EveryN(64)),
-        upsert_dimension(n, SyncPolicy::OsOnly),
+        upsert_dimension("fsync_always", n, SyncPolicy::Always, 1),
+        upsert_dimension("batch_15", n, SyncPolicy::Always, 15),
+        upsert_dimension("os_only", n, SyncPolicy::OsOnly, 1),
     ]);
     let recovery_sizes: Vec<usize> = [n / 4, n / 2, n].into_iter().filter(|&s| s > 0).collect();
     let recovery = recovery_dimension(&recovery_sizes);

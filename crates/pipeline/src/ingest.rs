@@ -7,9 +7,10 @@
 //! segmentation produces detection candidates with byte-accurate
 //! [`SectionProvenance`](gs_ingest::SectionProvenance), detection fans out
 //! across the `gs-par` pool, one packed [`GoalSpotter::extract_batch`]
-//! forward extracts details from everything detected, and each record is
-//! upserted carrying its section id, human-readable section path, block
-//! kind, and source byte range.
+//! forward extracts details from everything detected, and the records go
+//! to the store in one `upsert_batch` call (one WAL write and one fsync
+//! for a one-company report), each carrying its section id,
+//! human-readable section path, block kind, and source byte range.
 //!
 //! Candidates whose text has no alphabetic character are skipped before
 //! detection: numeric baseline cells (`2019: 48,200`) and page-number
@@ -119,6 +120,7 @@ pub fn ingest_report_text(
 
     let texts: Vec<&str> = detected.iter().map(|(u, _)| u.text.as_str()).collect();
     let all_details = gs.extract_batch(&texts);
+    let mut records = Vec::with_capacity(detected.len());
     let mut objectives = Vec::with_capacity(detected.len());
     for ((unit, score), details) in detected.iter().zip(&all_details) {
         let record = ObjectiveRecord::from_details(
@@ -134,15 +136,7 @@ pub fn ingest_report_text(
             &unit.provenance.block_kind,
             unit.provenance.byte_range,
         );
-        match store.upsert_record(&record) {
-            Ok(UpsertOutcome::Inserted) => stats.inserted += 1,
-            Ok(UpsertOutcome::Updated) => stats.updated += 1,
-            Ok(UpsertOutcome::Unchanged) => stats.unchanged += 1,
-            Err(_) => {
-                stats.store_errors += 1;
-                gs_obs::counter("pipeline.store_errors", 1);
-            }
-        }
+        records.push(record);
         objectives.push(IngestedObjective {
             text: unit.text.clone(),
             score: *score,
@@ -159,7 +153,27 @@ pub fn ingest_report_text(
             table_header: unit.table_header.clone(),
         });
     }
+    (stats.inserted, stats.updated, stats.unchanged, stats.store_errors) =
+        tally(store.upsert_batch(&records));
     (stats, objectives)
+}
+
+/// Folds upsert results, in order, into (inserted, updated, unchanged,
+/// store errors) counts, counting errors in `pipeline.store_errors`.
+pub(crate) fn tally(results: Vec<std::io::Result<UpsertOutcome>>) -> (usize, usize, usize, usize) {
+    let mut counts = (0, 0, 0, 0);
+    for result in results {
+        match result {
+            Ok(UpsertOutcome::Inserted) => counts.0 += 1,
+            Ok(UpsertOutcome::Updated) => counts.1 += 1,
+            Ok(UpsertOutcome::Unchanged) => counts.2 += 1,
+            Err(_) => {
+                counts.3 += 1;
+                gs_obs::counter("pipeline.store_errors", 1);
+            }
+        }
+    }
+    counts
 }
 
 /// Deterministic, line-oriented snapshot of one ingest run: the section
@@ -220,7 +234,7 @@ pub(crate) mod tests {
     use gs_data::fullreport::{generate_full_report, FullReportConfig, TruthPlacement};
     use gs_models::transformer::{ExtractorOptions, TrainConfig, TransformerConfig};
     use gs_obs::Rng;
-    use gs_store::ObjectiveStore;
+    use gs_store::{ObjectiveDb, ObjectiveStore, StoreConfig};
     use gs_text::labels::LabelSet;
 
     /// A tiny system whose detector has seen indicator names as noise —
@@ -360,6 +374,43 @@ pub(crate) mod tests {
         for (a, b) in o1.iter().zip(&o4) {
             assert_eq!(a.score.to_bits(), b.score.to_bits(), "scores bit-identical");
         }
+    }
+
+    /// A report's records reach an on-disk store as one group commit: one
+    /// fsync, one WAL frame per logged record and one view publish, through
+    /// both `ingest_report_text` and `process_report`.
+    #[test]
+    fn one_report_is_one_group_commit() {
+        let gs = tiny_ingest_system();
+        let full = report();
+        let mut rng = Rng::seed_from_u64(5);
+        let config = gs_data::documents::ReportConfig::default();
+        let paged = gs_data::documents::generate_report("Bcme", "CSR", 6, 8, &config, &mut rng);
+        let dir = std::env::temp_dir().join(format!("gs-ingest-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (db, _) = ObjectiveDb::open(&dir, StoreConfig::default()).expect("open");
+        let collector = gs_obs::install(gs_obs::Collector::new());
+        let count = |name: &str| collector.registry().counter(name).get();
+
+        let epoch = db.shard_for("Acme Corp").cell().epoch();
+        let (stats, _) = ingest_report_text(&gs, "Acme Corp", "csr", &full.text, &db);
+        let logged = (stats.inserted + stats.updated) as u64;
+        assert!(logged > 1, "{stats:?}");
+        assert_eq!(count("store.wal.fsyncs"), 1, "{stats:?}");
+        assert_eq!(count("store.wal.appends"), logged, "{stats:?}");
+        assert_eq!(db.shard_for("Acme Corp").cell().epoch(), epoch + 1, "{stats:?}");
+
+        let epoch = db.shard_for("Bcme").cell().epoch();
+        let rs = crate::process_report(&gs, &paged, &db);
+        let logged_too = (rs.inserted + rs.updated) as u64;
+        assert!(logged_too > 1, "{rs:?}");
+        assert_eq!(count("store.wal.fsyncs"), 2, "{rs:?}");
+        assert_eq!(count("store.wal.appends"), logged + logged_too, "{rs:?}");
+        assert_eq!(db.shard_for("Bcme").cell().epoch(), epoch + 1, "{rs:?}");
+        assert_eq!(db.wal_syncs(), 2);
+        gs_obs::uninstall();
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

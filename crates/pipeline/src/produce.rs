@@ -2,10 +2,11 @@
 //! detect objective blocks, extract their details, and store the structured
 //! records (paper §5's deployment scenarios).
 
+use crate::ingest::tally;
 use crate::system::GoalSpotter;
 use gs_data::deployment::DeploymentCorpus;
 use gs_data::documents::Report;
-use gs_store::{ObjectiveRecord, ObjectiveSink, UpsertOutcome};
+use gs_store::{ObjectiveRecord, ObjectiveSink};
 
 /// Processing statistics for one report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -49,11 +50,11 @@ pub struct CompanyStats {
     pub new_records: usize,
 }
 
-/// Runs detection + extraction over one report, streaming every detected
-/// objective into `store` as an upsert: new objectives insert, re-extracted
-/// ones merge details under their (company, objective) identity, and
-/// content-identical re-runs are no-ops — so processing the same report
-/// twice leaves the store bit-identical.
+/// Runs detection + extraction over one report and hands every detected
+/// objective to `store` in one `upsert_batch` call: new objectives insert,
+/// re-extracted ones merge details under their (company, objective)
+/// identity, and content-identical re-runs are no-ops — so processing the
+/// same report twice leaves the store bit-identical.
 ///
 /// Extraction is two-phase: detection sweeps all blocks first, then one
 /// [`GoalSpotter::extract_batch`] call runs a packed encoder forward over
@@ -89,24 +90,21 @@ pub fn process_report(
     }
     let texts: Vec<&str> = detected.iter().map(|(t, _)| *t).collect();
     let all_details = gs.extract_batch(&texts);
-    for ((text, score), details) in detected.iter().zip(&all_details) {
-        let record = ObjectiveRecord::from_details(
-            &report.company,
-            &report.title,
-            text,
-            details,
-            f64::from(*score),
-        );
-        match store.upsert_record(&record) {
-            Ok(UpsertOutcome::Inserted) => stats.inserted += 1,
-            Ok(UpsertOutcome::Updated) => stats.updated += 1,
-            Ok(UpsertOutcome::Unchanged) => stats.unchanged += 1,
-            Err(_) => {
-                stats.store_errors += 1;
-                gs_obs::counter("pipeline.store_errors", 1);
-            }
-        }
-    }
+    let records: Vec<ObjectiveRecord> = detected
+        .iter()
+        .zip(&all_details)
+        .map(|((text, score), details)| {
+            ObjectiveRecord::from_details(
+                &report.company,
+                &report.title,
+                text,
+                details,
+                f64::from(*score),
+            )
+        })
+        .collect();
+    (stats.inserted, stats.updated, stats.unchanged, stats.store_errors) =
+        tally(store.upsert_batch(&records));
     stats
 }
 

@@ -200,17 +200,21 @@ pub enum LogOp {
 /// Encodes an operation as one line (no trailing newline).
 pub fn encode_op(op: &LogOp) -> String {
     match op {
-        LogOp::Upsert { seq, version, record } => {
-            let mut out = String::with_capacity(112);
-            out.push_str("u\t");
-            out.push_str(&seq.to_string());
-            out.push('\t');
-            out.push_str(&version.to_string());
-            out.push('\t');
-            encode_record_into(&mut out, record);
-            out
-        }
+        LogOp::Upsert { seq, version, record } => encode_upsert(*seq, *version, record),
     }
+}
+
+/// [`encode_op`] of an upsert, without building the [`LogOp`] (and so
+/// without cloning the record).
+pub(crate) fn encode_upsert(seq: u64, version: u32, record: &ObjectiveRecord) -> String {
+    let mut out = String::with_capacity(112);
+    out.push_str("u\t");
+    out.push_str(&seq.to_string());
+    out.push('\t');
+    out.push_str(&version.to_string());
+    out.push('\t');
+    encode_record_into(&mut out, record);
+    out
 }
 
 /// Decodes one [`encode_op`] line.

@@ -16,6 +16,18 @@
 //! `store.meta` and wins over the configured value on reopen — resharding
 //! would silently strand records otherwise.
 //!
+//! ## Batch commit
+//!
+//! [`ObjectiveDb::upsert_batch`] groups a batch by shard and commits the
+//! groups one after another; [`ObjectiveDb::upsert`] is a batch of one.
+//! Each shard's part is one group commit (see the `shard` module): one
+//! frame per record, one WAL write and one fsync for the group, and the
+//! outcomes, log bytes and final state that upserting the records one by
+//! one would give. A group is acknowledged only after its fsync, a crash
+//! leaves a frame-prefix of it, readers see all or none of it, and a
+//! failed commit is rolled back so every record of that group gets `Err`.
+//! Groups on other shards commit or fail on their own.
+//!
 //! ## Concurrency
 //!
 //! Writes take one shard's mutex; reads go through [`StoreReader`], which
@@ -48,7 +60,7 @@ pub struct StoreConfig {
     /// Shard count for a *newly created* store; an existing store keeps the
     /// count recorded in its `store.meta`.
     pub shards: usize,
-    /// When WAL appends fsync.
+    /// Whether each WAL commit fsyncs.
     pub sync: SyncPolicy,
     /// Upserts a shard buffers in its delta before folding a fresh base
     /// generation (bounds per-read delta scans).
@@ -109,6 +121,11 @@ impl std::fmt::Debug for ObjectiveDb {
             .field("dir", &self.dir)
             .finish()
     }
+}
+
+/// The shard a company's records live in, out of `shards`.
+fn shard_index(company: &str, shards: usize) -> usize {
+    (fnv1a64(company.as_bytes()) % shards as u64) as usize
 }
 
 fn read_meta(path: &Path) -> io::Result<Option<usize>> {
@@ -191,9 +208,10 @@ impl ObjectiveDb {
         ObjectiveDb { shards: Arc::new(shards), config, dir: None }
     }
 
-    fn shard_for(&self, company: &str) -> &Shard {
-        let i = (fnv1a64(company.as_bytes()) % self.shards.len() as u64) as usize;
-        &self.shards[i]
+    /// The shard that owns `company`'s records (its epoch cell, log size
+    /// and fsync count are visible through it).
+    pub fn shard_for(&self, company: &str) -> &Shard {
+        &self.shards[shard_index(company, self.shards.len())]
     }
 
     fn publish_gauges(&self) {
@@ -211,26 +229,75 @@ impl ObjectiveDb {
     }
 
     /// Upserts one record: routed by company, merged by (company,
-    /// objective), idempotent on identical content.
+    /// objective), idempotent on identical content. A batch of one.
     pub fn upsert(&self, record: &ObjectiveRecord) -> io::Result<UpsertOutcome> {
-        let shard = self.shard_for(&record.company);
-        let outcome = shard.upsert(record)?;
+        self.commit(self.shard_for(&record.company), &[record]).map(|outcomes| outcomes[0])
+    }
+
+    /// Upserts `records` with one group commit per shard they touch (one
+    /// WAL write, one fsync and one view publish each), giving the outcomes
+    /// of upserting them one by one, in input order. When a shard's log
+    /// write or fsync fails, every record routed to it gets `Err` and none
+    /// of them is stored; the other shards' records are unaffected. (An
+    /// auto-compaction error after a commit also fails that shard's
+    /// records, as it fails a single upsert.)
+    pub fn upsert_batch(&self, records: &[ObjectiveRecord]) -> Vec<io::Result<UpsertOutcome>> {
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for (i, record) in records.iter().enumerate() {
+            groups[shard_index(&record.company, self.shards.len())].push(i);
+        }
+        let mut results: Vec<io::Result<UpsertOutcome>> = Vec::with_capacity(records.len());
+        results.resize_with(records.len(), || Ok(UpsertOutcome::Unchanged));
+        for (shard, group) in self.shards.iter().zip(&groups) {
+            if group.is_empty() {
+                continue;
+            }
+            let batch: Vec<&ObjectiveRecord> = group.iter().map(|&i| &records[i]).collect();
+            match self.commit(shard, &batch) {
+                Ok(outcomes) => {
+                    for (&i, outcome) in group.iter().zip(outcomes) {
+                        results[i] = Ok(outcome);
+                    }
+                }
+                Err(e) => {
+                    for &i in group {
+                        results[i] = Err(io::Error::new(e.kind(), e.to_string()));
+                    }
+                }
+            }
+        }
+        results
+    }
+
+    /// Group-commits one shard's records, then counts the outcomes and
+    /// auto-compacts the shard if it is due.
+    fn commit(
+        &self,
+        shard: &Shard,
+        records: &[&ObjectiveRecord],
+    ) -> io::Result<Vec<UpsertOutcome>> {
+        let outcomes = shard.upsert_batch(records)?;
+        let count = |kind| outcomes.iter().filter(|&&o| o == kind).count() as u64;
+        let logged = count(UpsertOutcome::Inserted) + count(UpsertOutcome::Updated);
         if gs_obs::enabled() {
-            let label = match outcome {
-                UpsertOutcome::Inserted => "store.upserts.inserted",
-                UpsertOutcome::Updated => "store.upserts.updated",
-                UpsertOutcome::Unchanged => "store.upserts.unchanged",
-            };
-            gs_obs::counter(label, 1);
+            for (kind, label) in [
+                (UpsertOutcome::Inserted, "store.upserts.inserted"),
+                (UpsertOutcome::Updated, "store.upserts.updated"),
+                (UpsertOutcome::Unchanged, "store.upserts.unchanged"),
+            ] {
+                if count(kind) > 0 {
+                    gs_obs::counter(label, count(kind));
+                }
+            }
             gs_obs::gauge(&format!("store.shard{}.records", shard.id()), shard.len() as f64);
         }
         if self.config.compact_after_ops > 0
-            && outcome != UpsertOutcome::Unchanged
+            && logged > 0
             && shard.ops_since_compact() >= self.config.compact_after_ops
         {
             self.compact_shard(shard)?;
         }
-        Ok(outcome)
+        Ok(outcomes)
     }
 
     fn compact_shard(&self, shard: &Shard) -> io::Result<CompactionStats> {
@@ -283,6 +350,11 @@ impl ObjectiveDb {
     /// Total WAL bytes across shards (0 when ephemeral).
     pub fn wal_bytes(&self) -> u64 {
         self.shards.iter().map(Shard::wal_bytes).sum()
+    }
+
+    /// Total WAL fsyncs across shards since open (0 when ephemeral).
+    pub fn wal_syncs(&self) -> u64 {
+        self.shards.iter().map(Shard::wal_syncs).sum()
     }
 
     /// Number of shards.
@@ -385,10 +457,6 @@ impl std::fmt::Debug for StoreReader {
 }
 
 impl StoreReader {
-    fn shard_index(&self, company: &str) -> usize {
-        (fnv1a64(company.as_bytes()) % self.shards.len() as u64) as usize
-    }
-
     /// Live record count in the snapshot this reader currently sees.
     pub fn len(&mut self) -> usize {
         (0..self.shards.len()).map(|i| self.handles[i].view(self.shards[i].cell()).len()).sum()
@@ -402,7 +470,7 @@ impl StoreReader {
     /// All records of one company (touches exactly one shard), in stable
     /// first-insert order.
     pub fn by_company(&mut self, company: &str) -> Vec<ObjectiveRecord> {
-        let i = self.shard_index(company);
+        let i = shard_index(company, self.shards.len());
         let view = self.handles[i].view(self.shards[i].cell());
         let mut rows = Vec::new();
         view.for_company(company, |s| rows.push((s.seq, s.record.clone())));
@@ -490,6 +558,13 @@ pub trait ObjectiveSink: Sync {
     /// Upserts one extracted record; reports what happened.
     fn upsert_record(&self, record: &ObjectiveRecord) -> io::Result<UpsertOutcome>;
 
+    /// Upserts `records` in order, reporting each outcome in input order.
+    /// The provided method loops [`upsert_record`](Self::upsert_record);
+    /// [`ObjectiveDb`] overrides it with one group commit per shard.
+    fn upsert_batch(&self, records: &[ObjectiveRecord]) -> Vec<io::Result<UpsertOutcome>> {
+        records.iter().map(|record| self.upsert_record(record)).collect()
+    }
+
     /// Live record count.
     fn record_count(&self) -> usize;
 }
@@ -497,6 +572,10 @@ pub trait ObjectiveSink: Sync {
 impl ObjectiveSink for ObjectiveDb {
     fn upsert_record(&self, record: &ObjectiveRecord) -> io::Result<UpsertOutcome> {
         self.upsert(record)
+    }
+
+    fn upsert_batch(&self, records: &[ObjectiveRecord]) -> Vec<io::Result<UpsertOutcome>> {
+        ObjectiveDb::upsert_batch(self, records)
     }
 
     fn record_count(&self) -> usize {
@@ -625,6 +704,79 @@ mod tests {
         let (db2, report) = ObjectiveDb::open(&dir, config).expect("reopen");
         assert!(report.frames() <= 10, "log must stay compacted, found {} frames", report.frames());
         assert_eq!(db2.reader().by_company("Acme")[0].amount.as_deref(), Some("99%"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Commits three "Acme" records, then sends a batch whose "Acme" part
+    /// hits `fault` alongside one record for a company on another shard.
+    /// Returns the store, the failing batch's results and the committed
+    /// "Acme" records.
+    fn fail_one_group(
+        dir: &Path,
+        fault: crate::wal::Fault,
+    ) -> (ObjectiveDb, Vec<io::Result<UpsertOutcome>>, Vec<ObjectiveRecord>) {
+        let (db, _) = ObjectiveDb::open(dir, StoreConfig { shards: 4, ..StoreConfig::default() })
+            .expect("open");
+        let acme = |i: usize| record("Acme", &format!("objective {i}"), Some("2030"), 0.5);
+        let committed: Vec<ObjectiveRecord> = (0..3).map(acme).collect();
+        assert!(db.upsert_batch(&committed).iter().all(|r| r.is_ok()));
+        let shard = db.shard_for("Acme");
+        let other = (0..)
+            .map(|i| format!("Other {i}"))
+            .find(|c| !std::ptr::eq(db.shard_for(c), shard))
+            .expect("a company on another shard");
+        let (epoch, view) = (shard.cell().epoch(), shard.cell().load());
+        shard.inject(fault);
+        let mut update = acme(0);
+        update.amount = Some("50%".into());
+        let results =
+            db.upsert_batch(&[acme(3), update, record(&other, "kept", None, 0.5), acme(4)]);
+        assert_eq!(shard.cell().epoch(), epoch, "{fault:?}: the epoch must not move");
+        assert!(Arc::ptr_eq(&shard.cell().load(), &view), "{fault:?}: the view must not move");
+        assert_eq!(db.reader().by_company("Acme"), committed, "{fault:?}");
+        assert_eq!(db.reader().by_company(&other).len(), 1, "{fault:?}: other shards commit");
+        (db, results, committed)
+    }
+
+    #[test]
+    fn a_failed_commit_fails_its_whole_shard_group_and_rolls_back() {
+        use crate::wal::Fault;
+        for fault in [Fault::ShortWrite(11), Fault::WriteError, Fault::SyncError] {
+            let dir = tmp_dir(&format!("fault-{fault:?}"));
+            let (db, results, mut committed) = fail_one_group(&dir, fault);
+            for (i, result) in results.iter().enumerate() {
+                assert_eq!(result.is_ok(), i == 2, "{fault:?}: record {i} gave {result:?}");
+            }
+            // The next batch commits as if the failed one never happened.
+            let next = record("Acme", "objective 3", Some("2030"), 0.5);
+            let outcomes = db.upsert_batch(std::slice::from_ref(&next));
+            assert_eq!(outcomes[0].as_ref().ok(), Some(&UpsertOutcome::Inserted), "{fault:?}");
+            committed.push(next);
+            assert_eq!(db.reader().by_company("Acme"), committed, "{fault:?}");
+            let live = db.reader().export_json();
+            drop(db);
+            let (db, report) = ObjectiveDb::open(&dir, StoreConfig::default()).expect("reopen");
+            assert_eq!(report.torn_tails(), 0, "{fault:?}: {report:?}");
+            assert_eq!(report.frames(), 5, "{fault:?}: 4 Acme records and the other company");
+            assert_eq!(db.reader().export_json(), live, "{fault:?}: reopen recovers the commits");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_commit_that_cannot_roll_back_stops_its_shard_until_reopen() {
+        let dir = tmp_dir("stuck");
+        let (db, results, committed) =
+            fail_one_group(&dir, crate::wal::Fault::ShortWriteNoRollback(11));
+        assert!(results[0].is_err() && results[2].is_ok());
+        let next = record("Acme", "objective 3", None, 0.5);
+        assert!(db.upsert(&next).is_err(), "a stuck log must refuse appends");
+        assert_eq!(db.reader().by_company("Acme"), committed);
+        drop(db);
+        let (db, report) = ObjectiveDb::open(&dir, StoreConfig::default()).expect("reopen");
+        assert_eq!(report.torn_tails(), 1, "{report:?}");
+        assert_eq!(db.reader().by_company("Acme"), committed);
+        assert_eq!(db.upsert(&next).ok(), Some(UpsertOutcome::Inserted));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

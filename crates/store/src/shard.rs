@@ -1,13 +1,27 @@
 //! One shard of the objective database: the single-writer upsert path, its
 //! write-ahead log, and the epoch cell its readers watch.
 //!
-//! A shard owns every record whose company hashes into it. The writer holds
-//! the shard mutex for the duration of one upsert: it resolves the identity
-//! key, merges fields, short-circuits on an unchanged content hash (no log
-//! append — this is what makes re-processing a report idempotent), appends
-//! the merged record to the WAL, and publishes a fresh immutable
-//! [`ShardView`]. Readers never take the shard mutex; they go through the
-//! [`EpochCell`].
+//! A shard owns every record whose company hashes into it. Writes arrive as
+//! batches ([`Shard::upsert_batch`]; [`Shard::upsert`] is a batch of one),
+//! and the writer holds the shard mutex for the whole group commit:
+//!
+//! 1. **Stage.** Each record in turn resolves its identity key, merges
+//!    fields into the newest state of that identity (committed, or staged
+//!    earlier in the same batch), and short-circuits on an unchanged content
+//!    hash (no log append — this is what makes re-processing a report
+//!    idempotent). These are exactly the decisions N sequential upserts
+//!    would make.
+//! 2. **Log.** The Inserted/Updated records become one frame each, written
+//!    with one `write` and one `fsync` ([`Wal::append_batch`]), so the log
+//!    bytes equal those of the sequential upserts.
+//! 3. **Apply.** Only after the fsync are the records installed, the delta
+//!    folded if due, and one fresh immutable [`ShardView`] published.
+//!
+//! A batch is acknowledged only after its fsync. A crash mid-batch leaves a
+//! frame-prefix of it on disk. Readers never take the shard mutex; they go
+//! through the [`EpochCell`] and see all or none of a batch. A failed write
+//! or fsync is rolled back in the log and leaves memory, the epoch and the
+//! view untouched, so every record of the batch fails together.
 
 use std::collections::HashMap;
 use std::io;
@@ -114,35 +128,108 @@ fn merge(existing: &ObjectiveRecord, incoming: &ObjectiveRecord) -> ObjectiveRec
     merged
 }
 
+/// A batch staged against the committed state but not yet applied.
+struct Staged {
+    /// What each input record did, in input order.
+    outcomes: Vec<UpsertOutcome>,
+    /// Newest state of every identity the batch inserts or updates.
+    records: HashMap<u64, StoredRecord>,
+    /// Keys of `records` in first-touch order (the install order).
+    order: Vec<u64>,
+    /// One encoded op per Inserted/Updated outcome, in input order; left
+    /// empty for an ephemeral shard.
+    frames: Vec<String>,
+    /// `next_seq` once the batch is applied.
+    next_seq: u64,
+}
+
 impl ShardInner {
-    /// Resolves the identity key for (company, objective), linear-probing
-    /// past hash collisions between *different* identities. Deterministic
-    /// given insertion order, so WAL replay resolves identically.
-    fn resolve_key(&self, company: &str, objective: &str) -> (u64, Option<u32>) {
+    /// Resolves the identity key for (company, objective) against the
+    /// committed records overlaid with `staged`, linear-probing past hash
+    /// collisions between *different* identities. Returns the key and the
+    /// identity's newest state, if any. Deterministic given insertion
+    /// order, so WAL replay resolves identically.
+    fn resolve<'a>(
+        &'a self,
+        company: &str,
+        objective: &str,
+        staged: &'a HashMap<u64, StoredRecord>,
+    ) -> (u64, Option<&'a StoredRecord>) {
         let mut key = codec::identity_key(company, objective);
         loop {
-            match self.by_key.get(&key) {
+            let occupant = staged
+                .get(&key)
+                .or_else(|| self.by_key.get(&key).map(|&i| &self.records[i as usize]));
+            match occupant {
                 None => return (key, None),
-                Some(&i) => {
-                    let r = &self.records[i as usize].record;
-                    if r.company == company && r.objective == objective {
-                        return (key, Some(i));
-                    }
-                    key = key.wrapping_add(1);
+                Some(r) if r.record.company == company && r.record.objective == objective => {
+                    return (key, Some(r));
                 }
+                Some(_) => key = key.wrapping_add(1),
+            }
+        }
+    }
+
+    /// Makes the decisions sequential upserts of `incoming` would make,
+    /// without touching the committed state. `log` encodes the frames.
+    fn stage(&self, incoming: Vec<ObjectiveRecord>, log: bool) -> Staged {
+        let mut staged = Staged {
+            outcomes: Vec::with_capacity(incoming.len()),
+            records: HashMap::new(),
+            order: Vec::new(),
+            frames: Vec::new(),
+            next_seq: self.next_seq,
+        };
+        for record in incoming {
+            let (key, prior) = self.resolve(&record.company, &record.objective, &staged.records);
+            let (stored, outcome) = match prior {
+                None => {
+                    let seq = staged.next_seq;
+                    staged.next_seq += 1;
+                    (StoredRecord::new(key, seq, 1, record), UpsertOutcome::Inserted)
+                }
+                Some(prior) => {
+                    let merged = merge(&prior.record, &record);
+                    // Hash-based comparison, not PartialEq: a NaN score must
+                    // still compare equal to itself or every re-run would
+                    // bump the version and dirty the log forever.
+                    if codec::content_hash(&merged) == codec::content_hash(&prior.record) {
+                        staged.outcomes.push(UpsertOutcome::Unchanged);
+                        continue;
+                    }
+                    let (seq, version) = (prior.seq, prior.version + 1);
+                    (StoredRecord::new(key, seq, version, merged), UpsertOutcome::Updated)
+                }
+            };
+            staged.outcomes.push(outcome);
+            if log {
+                staged.frames.push(codec::encode_upsert(
+                    stored.seq,
+                    stored.version,
+                    &stored.record,
+                ));
+            }
+            if staged.records.insert(key, stored).is_none() {
+                staged.order.push(key);
+            }
+        }
+        staged
+    }
+
+    /// Puts `stored` into the authoritative records (not the delta).
+    fn put(&mut self, stored: StoredRecord) {
+        match self.by_key.get(&stored.key) {
+            Some(&i) => self.records[i as usize] = stored,
+            None => {
+                self.by_key.insert(stored.key, self.records.len() as u32);
+                self.records.push(stored);
             }
         }
     }
 
     /// Installs `stored` into the authoritative state and the pending delta.
     fn install(&mut self, stored: StoredRecord) {
-        match self.by_key.get(&stored.key) {
-            Some(&i) => self.records[i as usize] = stored.clone(),
-            None => {
-                self.by_key.insert(stored.key, self.records.len() as u32);
-                self.records.push(stored.clone());
-            }
-        }
+        self.put(stored.clone());
         match self.delta_keys.get(&stored.key) {
             Some(&i) => self.delta[i as usize] = stored,
             None => {
@@ -156,15 +243,8 @@ impl ShardInner {
     fn apply_replayed(&mut self, op: LogOp) {
         let LogOp::Upsert { seq, version, record } = op;
         let record = normalize(&record);
-        let (key, existing) = self.resolve_key(&record.company, &record.objective);
-        let stored = StoredRecord::new(key, seq, version, record);
-        match existing {
-            Some(i) => self.records[i as usize] = stored,
-            None => {
-                self.by_key.insert(key, self.records.len() as u32);
-                self.records.push(stored);
-            }
-        }
+        let (key, _) = self.resolve(&record.company, &record.objective, &HashMap::new());
+        self.put(StoredRecord::new(key, seq, version, record));
         self.next_seq = self.next_seq.max(seq + 1);
     }
 
@@ -253,45 +333,39 @@ impl Shard {
 
     /// Upserts one record: insert when new, field-wise merge when the
     /// (company, objective) identity already exists, and a no-op (not even a
-    /// log append) when the merge result is content-identical.
+    /// log append) when the merge result is content-identical. A batch of
+    /// one.
     pub fn upsert(&self, record: &ObjectiveRecord) -> io::Result<UpsertOutcome> {
-        let incoming = normalize(record);
+        self.upsert_batch(&[record]).map(|outcomes| outcomes[0])
+    }
+
+    /// Group-commits `records` in order: the same outcomes, log bytes and
+    /// final state as upserting them one by one, for one log write, one
+    /// fsync and one view publish. Outcomes come back in input order. On
+    /// error nothing of the batch is applied, logged or published.
+    pub fn upsert_batch(&self, records: &[&ObjectiveRecord]) -> io::Result<Vec<UpsertOutcome>> {
+        let incoming: Vec<ObjectiveRecord> = records.iter().map(|r| normalize(r)).collect();
         let mut inner = self.lock();
-        let (key, existing) = inner.resolve_key(&incoming.company, &incoming.objective);
-        let (stored, outcome) = match existing {
-            None => {
-                let seq = inner.next_seq;
-                inner.next_seq += 1;
-                (StoredRecord::new(key, seq, 1, incoming), UpsertOutcome::Inserted)
-            }
-            Some(i) => {
-                let prior = &inner.records[i as usize];
-                let merged = merge(&prior.record, &incoming);
-                // Hash-based comparison, not PartialEq: a NaN score must
-                // still compare equal to itself or every re-run would bump
-                // the version and dirty the log forever.
-                if codec::content_hash(&merged) == codec::content_hash(&prior.record) {
-                    return Ok(UpsertOutcome::Unchanged);
-                }
-                let (seq, version) = (prior.seq, prior.version + 1);
-                (StoredRecord::new(key, seq, version, merged), UpsertOutcome::Updated)
-            }
-        };
-        if let Some(wal) = inner.wal.as_mut() {
-            let op = LogOp::Upsert {
-                seq: stored.seq,
-                version: stored.version,
-                record: stored.record.clone(),
-            };
-            wal.append(&codec::encode_op(&op))?;
+        let staged = inner.stage(incoming, inner.wal.is_some());
+        let ops = staged.outcomes.iter().filter(|&&o| o != UpsertOutcome::Unchanged).count();
+        if ops == 0 {
+            return Ok(staged.outcomes);
         }
-        inner.install(stored);
-        inner.ops_since_compact += 1;
+        if let Some(wal) = inner.wal.as_mut() {
+            wal.append_batch(&staged.frames)?;
+        }
+        let Staged { outcomes, mut records, order, next_seq, .. } = staged;
+        for key in order {
+            let stored = records.remove(&key).expect("staged key");
+            inner.install(stored);
+        }
+        inner.next_seq = next_seq;
+        inner.ops_since_compact += ops as u64;
         if inner.delta.len() >= self.fold_threshold {
             inner.fold();
         }
         self.cell.publish(Arc::new(inner.make_view()));
-        Ok(outcome)
+        Ok(outcomes)
     }
 
     /// Forces any unsynced appends to disk.
@@ -312,13 +386,7 @@ impl Shard {
         let mut live = inner.records.clone();
         live.sort_by_key(|r| r.seq);
         if let Some(wal) = inner.wal.as_mut() {
-            wal.rewrite(live.iter().map(|r| {
-                codec::encode_op(&LogOp::Upsert {
-                    seq: r.seq,
-                    version: r.version,
-                    record: r.record.clone(),
-                })
-            }))?;
+            wal.rewrite(live.iter().map(|r| codec::encode_upsert(r.seq, r.version, &r.record)))?;
         }
         inner.ops_since_compact = 0;
         inner.fold();
@@ -345,6 +413,17 @@ impl Shard {
     /// Current log size in bytes (0 for ephemeral shards).
     pub fn wal_bytes(&self) -> u64 {
         self.lock().wal.as_ref().map_or(0, Wal::len_bytes)
+    }
+
+    /// Log `fsync`s since open (0 for ephemeral shards).
+    pub fn wal_syncs(&self) -> u64 {
+        self.lock().wal.as_ref().map_or(0, Wal::syncs)
+    }
+
+    /// Makes this shard's next log commit fail with `fault`.
+    #[cfg(test)]
+    pub(crate) fn inject(&self, fault: crate::wal::Fault) {
+        self.lock().wal.as_mut().expect("a persistent shard").inject(fault);
     }
 }
 
@@ -498,6 +577,33 @@ mod tests {
         assert_eq!(got.version, 20);
         assert_eq!(got.record.amount.as_deref(), Some("19%"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_batch_makes_sequential_decisions_and_publishes_once() {
+        let (shard, _) = Shard::open(0, None, SyncPolicy::Always, 2).expect("open");
+        let first = record("Acme", "obj-1");
+        let mut richer = first.clone();
+        richer.amount = Some("50%".into());
+        let mut moved = first.clone();
+        moved.document = "doc-b".into();
+        let batch = [&first, &richer, &richer, &record("Acme", "obj-2"), &first, &moved];
+        let epoch = shard.cell().epoch();
+        let outcomes = shard.upsert_batch(&batch).expect("commit");
+        use UpsertOutcome::*;
+        assert_eq!(outcomes, [Inserted, Updated, Unchanged, Inserted, Unchanged, Updated]);
+        assert_eq!(shard.cell().epoch(), epoch + 1, "one publish per batch");
+        let view = shard.cell().load();
+        assert_eq!(view.len(), 2);
+        let mut got = Vec::new();
+        view.for_each(|s| got.push((s.seq, s.version, s.record.amount.clone())));
+        got.sort();
+        // A flat re-run keeps the merged amount; only the document moved.
+        assert_eq!(got, [(0, 3, Some("50%".into())), (1, 1, None)]);
+        // An all-Unchanged batch logs and publishes nothing.
+        let repeat = [&moved, &record("Acme", "obj-2")];
+        assert_eq!(shard.upsert_batch(&repeat).expect("commit"), [Unchanged, Unchanged]);
+        assert_eq!(shard.cell().epoch(), epoch + 1);
     }
 
     #[test]

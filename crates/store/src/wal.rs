@@ -18,16 +18,27 @@
 //! to that boundary so the log is append-ready again. Everything before
 //! the torn frame is untouched — recovery is never all-or-nothing.
 //!
-//! ## Durability
+//! ## Durability and group commit
 //!
-//! [`SyncPolicy`] decides when `fsync` runs: `Always` (every append — the
-//! crash-test setting), `EveryN(n)` (group commit), or `OsOnly` (no
-//! explicit sync except at [`Wal::sync`]/compaction). Append and fsync
-//! latencies land in the `store.wal.append_s` / `store.wal.fsync_s`
-//! histograms.
+//! [`Wal::append_batch`] is the one commit path: it frames every payload
+//! of a batch (one frame per record, the format above), issues one
+//! `write` for all of them and, under [`SyncPolicy::Always`], one `fsync`.
+//! A batch is acknowledged only after that `fsync` returns. A crash
+//! mid-batch leaves a frame-prefix of it, which replay keeps up to the
+//! first torn frame. A failed `write` or `fsync` is rolled back: the file
+//! is truncated to its last committed length before the error returns, so
+//! a failed batch can neither strand later records behind a partial frame
+//! nor come back on restart. If that truncation fails too, the log refuses
+//! further appends until it is reopened.
+//!
+//! [`SyncPolicy`] decides whether a batch is fsync'd: `Always` (the
+//! default and the crash-test setting) or `OsOnly` (no explicit sync
+//! except at [`Wal::sync`]/compaction). Batch append and fsync latencies
+//! land in the `store.wal.append_s` / `store.wal.fsync_s` histograms;
+//! `store.wal.appends` counts frames and `store.wal.fsyncs` syncs.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -39,15 +50,27 @@ pub const WAL_MAGIC: &str = "gs-wal v1";
 /// When the log issues `fsync`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Sync after every append: maximal durability, the crash-safety tests
-    /// run under this policy.
+    /// Sync every batch before acknowledging it: maximal durability, the
+    /// crash-safety tests run under this policy.
     Always,
-    /// Sync every `n` appends (group commit); a crash can lose up to the
-    /// last `n-1` acknowledged-but-unsynced records.
-    EveryN(u32),
     /// Never sync on append; the OS flushes on its own schedule and the
     /// store still syncs explicitly at compaction and close.
     OsOnly,
+}
+
+/// A failure the unit tests inject into the next [`Wal::append_batch`].
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fault {
+    /// Only the first `n` bytes of the batch reach the file, then `write`
+    /// errors.
+    ShortWrite(usize),
+    /// `write` errors before any byte lands.
+    WriteError,
+    /// Every byte lands, then `fsync` errors.
+    SyncError,
+    /// A short write of `n` bytes whose rollback truncation fails too.
+    ShortWriteNoRollback(usize),
 }
 
 /// What replay found in a log file.
@@ -67,9 +90,18 @@ pub struct ReplayReport {
 pub struct Wal {
     file: File,
     path: PathBuf,
+    /// Bytes of the magic line plus every committed frame.
     len: u64,
-    appends_since_sync: u32,
+    /// Whether bytes were written since the last `fsync`.
+    unsynced: bool,
+    /// `fsync`s issued since open.
+    syncs: u64,
+    /// Set when a failed batch could not be truncated away: the file may
+    /// end in a partial frame, so nothing may be appended behind it.
+    stuck: bool,
     policy: SyncPolicy,
+    #[cfg(test)]
+    fault: Option<Fault>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -142,7 +174,8 @@ fn parse_frame(bytes: &[u8]) -> Option<(String, usize)> {
 /// Encodes one frame (header line + payload + newline) into `out`.
 pub fn frame_into(out: &mut Vec<u8>, payload: &str) {
     let bytes = payload.as_bytes();
-    out.extend_from_slice(format!("r {} {:08x}\n", bytes.len(), crc32(bytes)).as_bytes());
+    // Writing into a Vec cannot fail.
+    let _ = writeln!(out, "r {} {:08x}", bytes.len(), crc32(bytes));
     out.extend_from_slice(bytes);
     out.push(b'\n');
 }
@@ -169,11 +202,7 @@ impl Wal {
             file.sync_data()?;
             let len = (WAL_MAGIC.len() + 1) as u64;
             report.clean_bytes = len;
-            return Ok((
-                Wal { file, path: path.to_path_buf(), len, appends_since_sync: 0, policy },
-                payloads,
-                report,
-            ));
+            return Ok((Wal::new(file, path, len, policy), payloads, report));
         }
         if report.torn_tail {
             if report.clean_bytes == 0 {
@@ -184,11 +213,7 @@ impl Wal {
                 report.clean_bytes = (WAL_MAGIC.len() + 1) as u64;
                 let len = report.clean_bytes;
                 gs_obs::counter("store.wal.torn_tails", 1);
-                return Ok((
-                    Wal { file, path: path.to_path_buf(), len, appends_since_sync: 0, policy },
-                    payloads,
-                    report,
-                ));
+                return Ok((Wal::new(file, path, len, policy), payloads, report));
             }
             let file = OpenOptions::new().write(true).open(path)?;
             file.set_len(report.clean_bytes)?;
@@ -200,45 +225,112 @@ impl Wal {
         }
         let file = OpenOptions::new().append(true).open(path)?;
         let len = report.clean_bytes;
-        Ok((
-            Wal { file, path: path.to_path_buf(), len, appends_since_sync: 0, policy },
-            payloads,
-            report,
-        ))
+        Ok((Wal::new(file, path, len, policy), payloads, report))
     }
 
-    /// Appends one payload as a checksummed frame, syncing per the policy.
-    pub fn append(&mut self, payload: &str) -> io::Result<()> {
-        let started = Instant::now();
-        let mut frame = Vec::with_capacity(payload.len() + 24);
-        frame_into(&mut frame, payload);
-        self.file.write_all(&frame)?;
-        self.len += frame.len() as u64;
-        self.appends_since_sync += 1;
-        let due = match self.policy {
-            SyncPolicy::Always => true,
-            SyncPolicy::EveryN(n) => self.appends_since_sync >= n.max(1),
-            SyncPolicy::OsOnly => false,
-        };
-        if due {
-            self.sync()?;
+    fn new(file: File, path: &Path, len: u64, policy: SyncPolicy) -> Wal {
+        Wal {
+            file,
+            path: path.to_path_buf(),
+            len,
+            unsynced: false,
+            syncs: 0,
+            stuck: false,
+            policy,
+            #[cfg(test)]
+            fault: None,
         }
+    }
+
+    /// Appends one payload: a batch of one.
+    pub fn append(&mut self, payload: &str) -> io::Result<()> {
+        self.append_batch(&[payload])
+    }
+
+    /// Commits `payloads` as consecutive checksummed frames with one
+    /// `write` and, under [`SyncPolicy::Always`], one `fsync`. On `Ok` every
+    /// frame is in the log; on `Err` none is: the file was truncated back
+    /// to its last committed length. If that truncation failed too, this
+    /// and every later call returns an error until the log is reopened.
+    pub fn append_batch<S: AsRef<str>>(&mut self, payloads: &[S]) -> io::Result<()> {
+        if self.stuck {
+            return Err(io::Error::other(format!(
+                "{}: a failed append could not be rolled back; reopen the log",
+                self.path.display()
+            )));
+        }
+        if payloads.is_empty() {
+            return Ok(());
+        }
+        let started = Instant::now();
+        let mut frames =
+            Vec::with_capacity(payloads.iter().map(|p| p.as_ref().len() + 24).sum::<usize>());
+        for payload in payloads {
+            frame_into(&mut frames, payload.as_ref());
+        }
+        if let Err(e) = self.write_durably(&frames) {
+            if self.truncate_to_committed().is_err() {
+                self.stuck = true;
+            }
+            return Err(e);
+        }
+        self.len += frames.len() as u64;
         if gs_obs::enabled() {
-            gs_obs::counter("store.wal.appends", 1);
-            gs_obs::counter("store.wal.bytes", frame.len() as u64);
+            gs_obs::counter("store.wal.appends", payloads.len() as u64);
+            gs_obs::counter("store.wal.bytes", frames.len() as u64);
             gs_obs::observe("store.wal.append_s", started.elapsed().as_secs_f64());
         }
         Ok(())
     }
 
+    /// Writes `frames` at the end of the log and syncs them per the policy.
+    fn write_durably(&mut self, frames: &[u8]) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(fault) = self.fault {
+            let landed = match fault {
+                Fault::ShortWrite(n) | Fault::ShortWriteNoRollback(n) => n.min(frames.len()),
+                Fault::WriteError => 0,
+                Fault::SyncError => frames.len(),
+            };
+            self.file.write_all(&frames[..landed])?;
+            return Err(io::Error::other(format!("injected {fault:?}")));
+        }
+        self.file.write_all(frames)?;
+        self.unsynced = true;
+        match self.policy {
+            SyncPolicy::Always => self.sync(),
+            SyncPolicy::OsOnly => Ok(()),
+        }
+    }
+
+    /// Cuts off whatever a failed batch left behind the committed length.
+    fn truncate_to_committed(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(Fault::ShortWriteNoRollback(_)) = self.fault.take() {
+            return Err(io::Error::other("injected rollback failure"));
+        }
+        self.file.set_len(self.len)?;
+        // A handle not in append mode would otherwise write past the cut
+        // and leave a hole.
+        self.file.seek(SeekFrom::Start(self.len))?;
+        self.file.sync_data()
+    }
+
+    /// Makes the next [`append_batch`](Self::append_batch) fail with `fault`.
+    #[cfg(test)]
+    pub(crate) fn inject(&mut self, fault: Fault) {
+        self.fault = Some(fault);
+    }
+
     /// Forces an `fsync` of everything appended so far.
     pub fn sync(&mut self) -> io::Result<()> {
-        if self.appends_since_sync == 0 {
+        if !self.unsynced {
             return Ok(());
         }
         let started = Instant::now();
         self.file.sync_data()?;
-        self.appends_since_sync = 0;
+        self.unsynced = false;
+        self.syncs += 1;
         if gs_obs::enabled() {
             gs_obs::counter("store.wal.fsyncs", 1);
             gs_obs::observe("store.wal.fsync_s", started.elapsed().as_secs_f64());
@@ -246,7 +338,12 @@ impl Wal {
         Ok(())
     }
 
-    /// Current log size in bytes (magic + clean frames + unsynced appends).
+    /// `fsync`s issued since the log was opened.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
+    }
+
+    /// Current log size in bytes (magic + committed frames).
     pub fn len_bytes(&self) -> u64 {
         self.len
     }
@@ -279,7 +376,10 @@ impl Wal {
         }
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.len = content.len() as u64;
-        self.appends_since_sync = 0;
+        self.unsynced = false;
+        // The fresh file holds only committed frames, so a log stuck behind
+        // an unrolled-back batch is append-ready again.
+        self.stuck = false;
         Ok(())
     }
 }
@@ -386,6 +486,77 @@ mod tests {
         wal.append("fresh start").expect("append");
         let (_, seen2, _) = Wal::open(&path, SyncPolicy::Always).expect("reopen");
         assert_eq!(seen2, ["fresh start"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Reopens the log at `path` and returns its payloads, asserting the
+    /// replay found nothing torn.
+    fn replayed_clean(path: &Path) -> Vec<String> {
+        let (_, seen, report) = Wal::open(path, SyncPolicy::Always).expect("reopen");
+        assert!(!report.torn_tail, "log must replay clean: {report:?}");
+        seen
+    }
+
+    #[test]
+    fn one_batch_writes_the_bytes_of_its_appends_with_one_fsync() {
+        let dir = tmp_dir("batch");
+        let payloads = ["first", "second", "third"];
+        let (single, batched) = (dir.join("single.log"), dir.join("batched.log"));
+        let (mut wal, _, _) = Wal::open(&single, SyncPolicy::Always).expect("open");
+        for p in payloads {
+            wal.append(p).expect("append");
+        }
+        assert_eq!(wal.syncs(), 3);
+        let (mut wal, _, _) = Wal::open(&batched, SyncPolicy::Always).expect("open");
+        wal.append_batch(&payloads).expect("batch");
+        assert_eq!(wal.syncs(), 1);
+        assert_eq!(std::fs::read(&single).unwrap(), std::fs::read(&batched).unwrap());
+        // OsOnly defers the fsync to an explicit sync.
+        let (mut wal, _, _) = Wal::open(&dir.join("os.log"), SyncPolicy::OsOnly).expect("open");
+        wal.append_batch(&payloads).expect("batch");
+        assert_eq!(wal.syncs(), 0);
+        wal.sync().expect("sync");
+        assert_eq!(wal.syncs(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_batch_is_rolled_back_and_later_commits_survive_reopen() {
+        let dir = tmp_dir("rollback");
+        for fault in [Fault::ShortWrite(7), Fault::WriteError, Fault::SyncError] {
+            let path = dir.join(format!("{fault:?}.log"));
+            let (mut wal, _, _) = Wal::open(&path, SyncPolicy::Always).expect("open");
+            wal.append("committed").expect("append");
+            let len = wal.len_bytes();
+            wal.inject(fault);
+            assert!(wal.append_batch(&["lost 1", "lost 2"]).is_err(), "{fault:?}");
+            assert_eq!(wal.len_bytes(), len, "{fault:?}");
+            let on_disk = std::fs::metadata(&path).expect("stat").len();
+            assert_eq!(on_disk, len, "{fault:?}: the file must be cut back");
+            wal.append_batch(&["after 1", "after 2"]).expect("the next batch commits");
+            drop(wal);
+            assert_eq!(replayed_clean(&path), ["committed", "after 1", "after 2"], "{fault:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_batch_that_cannot_be_rolled_back_stops_the_log_until_reopen() {
+        let dir = tmp_dir("stuck");
+        let path = dir.join("shard.log");
+        let (mut wal, _, _) = Wal::open(&path, SyncPolicy::Always).expect("open");
+        wal.append("committed").expect("append");
+        wal.inject(Fault::ShortWriteNoRollback(9));
+        assert!(wal.append_batch(&["lost"]).is_err());
+        // The partial frame is still in the file: nothing may land behind it.
+        assert!(wal.append("refused").is_err());
+        drop(wal);
+        let (mut wal, seen, report) = Wal::open(&path, SyncPolicy::Always).expect("reopen");
+        assert_eq!(seen, ["committed"]);
+        assert!(report.torn_tail && report.torn_bytes == 9, "{report:?}");
+        wal.append("after reopen").expect("reopened log appends");
+        drop(wal);
+        assert_eq!(replayed_clean(&path), ["committed", "after reopen"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

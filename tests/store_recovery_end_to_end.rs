@@ -1,9 +1,10 @@
 //! Crash-safety and concurrency integration for the log-structured store:
-//! a writer process killed mid-stream (plus a deliberately torn frame) must
-//! recover to a clean prefix that converges bit-identically once the stream
-//! is replayed; lock-free readers must see consistent views under write
-//! load; and the golden extraction fixture must round-trip through the
-//! persistent store with identical spans.
+//! a writer process committing batches and killed mid-stream (plus a
+//! deliberately torn frame) must recover to a clean prefix that converges
+//! bit-identically once the stream is replayed; lock-free readers must see
+//! consistent views under write load and whole batches only; and the golden
+//! extraction fixture must round-trip through the persistent store with
+//! identical spans.
 
 use goalspotter::core::{ExtractedDetails, MultiSpanPolicy};
 use goalspotter::models::transformer::{ModelFamily, TransformerConfig, TransformerExtractor};
@@ -21,6 +22,8 @@ use std::time::Duration;
 /// Env var that flips the `crash_writer_child` test into its writer role.
 const CRASH_ENV: &str = "GS_STORE_CRASH_DIR";
 const STREAM_LEN: usize = 400;
+/// Records per `upsert_batch` call, the size of one ingested report.
+const BATCH: usize = 15;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gs-store-e2e-{tag}-{}", std::process::id()));
@@ -60,14 +63,18 @@ fn store_config() -> StoreConfig {
 }
 
 /// Not a test of its own: when `GS_STORE_CRASH_DIR` is set, this process is
-/// a writer child that upserts the stream until its parent kills it. With
-/// the env unset (every normal test run) it does nothing.
+/// a writer child that commits the stream in batches of [`BATCH`] until its
+/// parent kills it, so the kill can land mid-batch. With the env unset
+/// (every normal test run) it does nothing.
 #[test]
 fn crash_writer_child() {
     let Ok(dir) = std::env::var(CRASH_ENV) else { return };
     let (db, _) = ObjectiveDb::open(Path::new(&dir), store_config()).expect("child open");
-    for i in 0..STREAM_LEN {
-        db.upsert(&stream_record(i)).expect("child upsert");
+    let stream: Vec<ObjectiveRecord> = (0..STREAM_LEN).map(stream_record).collect();
+    for batch in stream.chunks(BATCH) {
+        for result in db.upsert_batch(batch) {
+            result.expect("child upsert");
+        }
     }
     // Finished before the kill arrived: park so the parent's SIGKILL still
     // terminates a live process (recovery of a complete log is also valid).
@@ -89,7 +96,18 @@ fn killed_writer_recovers_to_a_clean_prefix_and_converges_bit_identically() {
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("spawn writer child");
-    std::thread::sleep(Duration::from_millis(400));
+    // Kill as soon as the logs show a few committed batches (or after a
+    // deadline on a slow start), so the kill lands while the child writes.
+    let log_bytes = || -> u64 {
+        (0..store_config().shards)
+            .filter_map(|i| std::fs::metadata(dir.join(format!("shard-{i}.log"))).ok())
+            .map(|m| m.len())
+            .sum()
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while log_bytes() < 8 * 1024 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_micros(200));
+    }
     child.kill().expect("kill writer");
     let _ = child.wait();
 
@@ -110,6 +128,14 @@ fn killed_writer_recovers_to_a_clean_prefix_and_converges_bit_identically() {
     let reference: Vec<ObjectiveRecord> = (0..STREAM_LEN).map(stream_record).collect();
     for record in db.reader().records() {
         assert!(reference.contains(&record), "recovered record not in the stream: {record:?}");
+    }
+    // Each shard log is a frame-prefix of its writes, so every company's
+    // survivors are the first records of its part of the stream.
+    for company in (0..7).map(|c| format!("Company-{c:02}")) {
+        let recovered = db.reader().by_company(&company);
+        let sent: Vec<&ObjectiveRecord> =
+            reference.iter().filter(|r| r.company == company).take(recovered.len()).collect();
+        assert!(recovered.iter().eq(sent), "{company}: recovered records are not a prefix");
     }
 
     // Replaying the full stream over the survivor converges to exactly the
@@ -174,6 +200,48 @@ fn concurrent_readers_see_consistent_views_under_write_load() {
     assert_eq!(reader.len(), STREAM_LEN);
     let by_company: usize = reader.counts_by_company().iter().map(|(_, n)| n).sum();
     assert_eq!(by_company, STREAM_LEN);
+}
+
+#[test]
+fn batch_readers_see_whole_batches_only() {
+    // One writer commits same-company batches of `BATCH` into a fresh store.
+    // A shard publishes once per batch, so readers polling that company
+    // only ever count whole batches.
+    const BATCHES: usize = 40;
+    let db = Arc::new(ObjectiveDb::ephemeral(store_config()));
+    let stop = Arc::new(AtomicBool::new(false));
+    let batch = |b: usize| -> Vec<ObjectiveRecord> {
+        (0..BATCH)
+            .map(|i| ObjectiveRecord { company: "Batch Co".into(), ..stream_record(b * BATCH + i) })
+            .collect()
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..3 {
+            let db = db.clone();
+            let stop = stop.clone();
+            scope.spawn(move || {
+                let mut reader = db.reader();
+                let mut last = 0usize;
+                while !stop.load(Ordering::Relaxed) {
+                    let seen = reader.by_company("Batch Co").len();
+                    assert_eq!(seen % BATCH, 0, "a reader saw part of a batch: {seen} records");
+                    assert!(seen >= last, "published view went backwards: {seen} < {last}");
+                    last = seen;
+                }
+            });
+        }
+        for b in 0..BATCHES {
+            for result in db.upsert_batch(&batch(b)) {
+                result.expect("batch upsert under read load");
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(db.reader().by_company("Batch Co").len(), BATCHES * BATCH);
+    // Under `GS_RACE=1` with the race-model feature, the live detector
+    // watched every publish and load; elsewhere this is empty.
+    let races = gs_race::take_live_races();
+    assert!(races.is_empty(), "live race detector flagged batch publishes: {races:?}");
 }
 
 #[test]
