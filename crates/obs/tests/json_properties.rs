@@ -1,8 +1,9 @@
 //! Property tests for the JSON codec over seeded random trees: printing
 //! then parsing is the identity for finite trees (compact and pretty),
 //! escaped input decodes to the same strings (including UTF-16 surrogate
-//! pairs), nesting is accepted exactly up to [`json::MAX_DEPTH`], and
-//! non-finite numbers print as `null`.
+//! pairs), the escaper writes the same bytes as a char-by-char reference,
+//! nesting is accepted exactly up to [`json::MAX_DEPTH`], and non-finite
+//! numbers print as `null`.
 
 use gs_obs::json::{self, Json};
 use gs_obs::Rng;
@@ -33,9 +34,11 @@ const SPECIALS: &[char] = &[
 fn random_string(rng: &mut Rng) -> String {
     let len = rng.random_range(0..12);
     (0..len)
-        .map(|_| match rng.random_range(0..3) {
+        .map(|_| match rng.random_range(0..4) {
             0 => char::from(rng.random_range(0x20u32..0x7f) as u8),
             1 => *rng.choose(SPECIALS).expect("non-empty"),
+            // Every control character, each of which needs an escape.
+            2 => char::from(rng.random_range(0u32..0x20) as u8),
             // Any scalar value; surrogates are not chars, so retry past them.
             _ => loop {
                 if let Some(c) = char::from_u32(rng.random_range(0..=0x10FFFFu32)) {
@@ -133,6 +136,44 @@ fn escaped_strings_and_surrogate_pairs_decode() {
         let back =
             json::parse(&escaped).unwrap_or_else(|e| panic!("case {case}: {e} for {escaped}"));
         assert_eq!(back.as_str(), Some(s.as_str()), "case {case}: {escaped}");
+    }
+}
+
+/// The escaper `json::write_string` had before it copied unescaped runs:
+/// one `char` at a time. The reference the byte scan must match.
+fn write_string_by_char(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+#[test]
+fn run_copy_escaper_matches_the_char_by_char_reference() {
+    let check = |what: &str, s: &str| {
+        let (mut got, mut want) = (String::from("[1,"), String::from("[1,"));
+        json::write_string(&mut got, s);
+        write_string_by_char(&mut want, s);
+        assert_eq!(got, want, "{what}: {s:?}");
+    };
+    // Every control character, DEL and an astral character, in one string.
+    let fixed: String = (0u8..0x20).map(char::from).chain(['\u{7f}', '😀']).collect();
+    check("every control character", &fixed);
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(case);
+        // Several generated strings back to back, so unescaped runs of
+        // every length sit between escapes.
+        let s: String = (0..4).map(|_| random_string(&mut rng)).collect();
+        check(&format!("case {case}"), &s);
     }
 }
 

@@ -196,7 +196,7 @@ mod tests {
     use gs_data::documents::{generate_report, ReportConfig};
     use gs_models::transformer::{ExtractorOptions, TrainConfig, TransformerConfig};
     use gs_obs::Rng;
-    use gs_store::ObjectiveStore;
+    use gs_store::{ObjectiveStore, UpsertOutcome};
     use gs_text::labels::LabelSet;
 
     fn tiny_system() -> GoalSpotter {
@@ -279,6 +279,81 @@ mod tests {
             assert_eq!(p.documents, s.documents);
             assert_eq!(p.pages, s.pages);
         }
+    }
+
+    /// Records each batch the pipeline hands its store, acknowledging all.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<Vec<ObjectiveRecord>>>);
+
+    impl ObjectiveSink for Recorder {
+        fn upsert_record(&self, record: &ObjectiveRecord) -> std::io::Result<UpsertOutcome> {
+            self.upsert_batch(std::slice::from_ref(record)).remove(0)
+        }
+
+        fn upsert_batch(&self, records: &[ObjectiveRecord]) -> Vec<std::io::Result<UpsertOutcome>> {
+            self.0.lock().expect("recorder").push(records.to_vec());
+            records.iter().map(|_| Ok(UpsertOutcome::Inserted)).collect()
+        }
+
+        fn record_count(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn legacy_store_and_db_answer_every_query_alike_on_the_deployment_corpus() {
+        // table5's deployment corpus at its `--quick` scale, extracted once.
+        let gs = tiny_system();
+        let corpus = gs_data::deployment::generate_corpus(0.05, 20240511);
+        let recorder = Recorder::default();
+        process_corpus(&gs, &corpus, &recorder);
+        let mut batches = recorder.0.into_inner().expect("recorder");
+        // The legacy store keeps scores at milli precision; milli-exact
+        // input scores let every byte be compared.
+        for record in batches.iter_mut().flatten() {
+            record.score = (record.score * 1000.0).round() / 1000.0;
+        }
+        let legacy = ObjectiveStore::new();
+        // One shard keeps the store-wide order (shard, then first insert)
+        // equal to the legacy insertion order; eight spread the companies.
+        let one = gs_store::ObjectiveDb::ephemeral(gs_store::StoreConfig {
+            shards: 1,
+            ..Default::default()
+        });
+        let eight = gs_store::ObjectiveDb::ephemeral(gs_store::StoreConfig::default());
+        for batch in &batches {
+            legacy.upsert_batch(batch);
+            one.upsert_batch(batch);
+            eight.upsert_batch(batch);
+        }
+        assert!(legacy.len() > 100, "only {} records", legacy.len());
+        assert_eq!(one.len(), legacy.len());
+        let (mut one, mut eight) = (one.reader(), eight.reader());
+        assert_eq!(one.export_json(), legacy.export_json());
+        assert_eq!(one.records(), legacy.records());
+        for (from, to) in [(2020, 2030), (2031, 2060), (2025, 2025), (i64::MIN, i64::MAX)] {
+            let want = legacy.deadlines_between(from, to);
+            assert_eq!(one.deadlines_between(from, to), want, "deadlines {from}..={to}");
+        }
+        let counts = legacy.counts_by_company();
+        assert_eq!(counts.len(), 14);
+        let specificity = legacy.specificity_by_company();
+        let mut ties = 0;
+        for reader in [&mut one, &mut eight] {
+            assert_eq!(reader.counts_by_company(), counts);
+            assert_eq!(reader.specificity_by_company(), specificity);
+            for (company, n) in &counts {
+                let records = legacy.by_company(company);
+                assert_eq!(reader.by_company(company), records, "{company}");
+                for k in [1, 2, n / 2, *n, n + 1] {
+                    let top = legacy.top_objectives(company, k);
+                    assert_eq!(reader.top_objectives(company, k), top, "{company} top {k}");
+                }
+                let top = legacy.top_objectives(company, *n);
+                ties += top.windows(2).filter(|w| w[0].score == w[1].score).count();
+            }
+        }
+        assert!(ties > 0, "the corpus must exercise score ties");
     }
 
     #[test]

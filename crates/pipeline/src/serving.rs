@@ -6,6 +6,7 @@ use crate::ingest::{ingest_report_text, IngestStats, IngestedObjective};
 use crate::system::GoalSpotter;
 use gs_core::ExtractedDetails;
 use gs_models::transformer::{QuantizedExtractor, TransformerExtractor};
+use gs_obs::json::{write_f64, write_string};
 use gs_serve::{ExtractEngine, Extraction, IngestHook, Json, ObjectiveStoreHook};
 use gs_store::{ObjectiveDb, ObjectiveRecord, UpsertOutcome};
 use gs_tensor::arena;
@@ -74,7 +75,8 @@ impl ExtractEngine for QuantizedEngine {
 /// Bridges the serving layer's [`ObjectiveStoreHook`] to the log-structured
 /// [`ObjectiveDb`]: served extractions that name a company are upserted
 /// (same dedupe/merge semantics as the batch pipeline), and
-/// `GET /v1/objectives` reads come from the store's lock-free reader path.
+/// `GET /v1/objectives` reads stream from the store's lock-free reader
+/// path into the response body.
 ///
 /// When built [`with_spotter`](Self::with_spotter), each upserted record is
 /// scored by the detector, so API-ingested records rank comparably with
@@ -109,6 +111,8 @@ fn json_opt(field: &Option<String>) -> Json {
     }
 }
 
+/// One record as a `Json` tree: the reference the streaming
+/// [`write_record`] must match byte for byte once printed.
 fn record_json(record: &ObjectiveRecord) -> Json {
     Json::obj(vec![
         ("company", Json::Str(record.company.clone())),
@@ -125,6 +129,37 @@ fn record_json(record: &ObjectiveRecord) -> Json {
         ("block_kind", json_opt(&record.block_kind)),
         ("source_range", json_opt(&record.source_range)),
     ])
+}
+
+/// Appends what printing [`record_json`] gives, without building the tree:
+/// the same 13 keys in the same (sorted) order.
+fn write_record(out: &mut String, record: &ObjectiveRecord) {
+    let text = |out: &mut String, key: &str, value: &str| {
+        out.push_str(key);
+        write_string(out, value);
+    };
+    let opt = |out: &mut String, key: &str, value: &Option<String>| {
+        out.push_str(key);
+        match value {
+            Some(s) => write_string(out, s),
+            None => out.push_str("null"),
+        }
+    };
+    opt(out, "{\"action\":", &record.action);
+    opt(out, ",\"amount\":", &record.amount);
+    opt(out, ",\"baseline\":", &record.baseline);
+    opt(out, ",\"block_kind\":", &record.block_kind);
+    text(out, ",\"company\":", &record.company);
+    opt(out, ",\"deadline\":", &record.deadline);
+    text(out, ",\"document\":", &record.document);
+    text(out, ",\"objective\":", &record.objective);
+    opt(out, ",\"qualifier\":", &record.qualifier);
+    out.push_str(",\"score\":");
+    write_f64(out, record.score);
+    opt(out, ",\"section_id\":", &record.section_id);
+    opt(out, ",\"section_path\":", &record.section_path);
+    opt(out, ",\"source_range\":", &record.source_range);
+    out.push('}');
 }
 
 fn stats_json(stats: &IngestStats) -> Json {
@@ -191,6 +226,21 @@ impl ObjectiveStoreHook for DbStoreHook {
 
     fn company_records(&self, company: &str) -> Vec<Json> {
         self.db.reader().by_company(company).iter().map(record_json).collect()
+    }
+
+    /// Streams the records from the shard view straight into `out`: no
+    /// record clones and no `Json` trees.
+    fn write_company_records(&self, company: &str, out: &mut String) -> usize {
+        out.push('[');
+        let open = out.len();
+        let count = self.db.reader().visit_company(company, |record| {
+            if out.len() > open {
+                out.push(',');
+            }
+            write_record(out, record);
+        });
+        out.push(']');
+        count
     }
 
     fn record_count(&self) -> usize {

@@ -349,9 +349,11 @@ fn metrics() -> Response {
 }
 
 /// `GET /v1/objectives?company=<percent-encoded name>`: every stored
-/// objective of one company, served from the store's lock-free reader path
-/// (never blocked behind ingest). Requires a store hook; servers started
-/// without one answer 404.
+/// objective of one company, streamed from the store's lock-free reader
+/// path (never blocked behind ingest) straight into the response body.
+/// The body is `{"company","count","records","trace_id"}`, byte for byte
+/// what printing that `Json` object gives. Requires a store hook; servers
+/// started without one answer 404.
 fn objectives(shared: &ServerShared, query: &str) -> Response {
     let started = Instant::now();
     let Some(store) = shared.store.as_ref() else {
@@ -367,15 +369,19 @@ fn objectives(shared: &ServerShared, query: &str) -> Response {
         return error_response(Status::BadRequest, "\"company\" must be non-empty");
     }
     let trace_id = mint_trace_id();
-    let records = store.company_records(&company);
-    let count = records.len();
-    let body = Json::obj(vec![
-        ("company", Json::Str(company)),
-        ("count", count.into()),
-        ("records", Json::Arr(records)),
-        ("trace_id", Json::Str(trace_id.clone())),
-    ])
-    .to_string();
+    // The envelope is written by hand in the sorted key order a `Json`
+    // object prints in; the count goes in once the records are written.
+    let mut body = String::with_capacity(256);
+    body.push_str("{\"company\":");
+    json::write_string(&mut body, &company);
+    body.push_str(",\"count\":");
+    let count_at = body.len();
+    body.push_str(",\"records\":");
+    let count = store.write_company_records(&company, &mut body);
+    body.push_str(",\"trace_id\":");
+    json::write_string(&mut body, &trace_id);
+    body.push('}');
+    body.insert_str(count_at, &count.to_string());
     finish_traced(
         shared,
         Response::json(Status::Ok, body),

@@ -286,12 +286,17 @@ fn json_opt_into(out: &mut String, field: &Option<String>) {
 /// Renders one record as a JSON object (the shape `export_json` emits).
 pub fn record_to_json(record: &ObjectiveRecord) -> String {
     let mut out = String::with_capacity(160);
+    write_record_json(&mut out, record);
+    out
+}
+
+fn write_record_json(out: &mut String, record: &ObjectiveRecord) {
     out.push_str("{\"company\":");
-    write_string(&mut out, &record.company);
+    write_string(out, &record.company);
     out.push_str(",\"document\":");
-    write_string(&mut out, &record.document);
+    write_string(out, &record.document);
     out.push_str(",\"objective\":");
-    write_string(&mut out, &record.objective);
+    write_string(out, &record.objective);
     for (name, field) in [
         ("action", &record.action),
         ("amount", &record.amount),
@@ -306,32 +311,32 @@ pub fn record_to_json(record: &ObjectiveRecord) -> String {
         out.push_str(",\"");
         out.push_str(name);
         out.push_str("\":");
-        json_opt_into(&mut out, field);
+        json_opt_into(out, field);
     }
     out.push_str(",\"score\":");
     // JSON has no NaN/Inf literal; non-finite scores export as null rather
     // than as an unparsable document.
-    write_f64(&mut out, record.score);
+    write_f64(out, record.score);
     out.push('}');
-    out
 }
 
 /// Renders records as a JSON array with one compact record object per
 /// line.
-pub fn records_to_json(records: &[ObjectiveRecord]) -> String {
-    if records.is_empty() {
-        return "[]".to_string();
-    }
-    let mut out = String::with_capacity(records.len() * 170);
+pub fn records_to_json<'a>(records: impl IntoIterator<Item = &'a ObjectiveRecord>) -> String {
+    let records = records.into_iter();
+    let mut out = String::with_capacity(2 + records.size_hint().0 * 170);
     out.push('[');
-    for (i, record) in records.iter().enumerate() {
+    for (i, record) in records.enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("\n  ");
-        out.push_str(&record_to_json(record));
+        write_record_json(&mut out, record);
     }
-    out.push_str("\n]");
+    if out.len() > 1 {
+        out.push('\n');
+    }
+    out.push(']');
     out
 }
 

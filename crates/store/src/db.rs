@@ -40,6 +40,7 @@
 use gs_race::sync::{AtomicBool, Ordering};
 use std::collections::BTreeMap;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,7 +49,7 @@ use crate::codec;
 use crate::hash::fnv1a64;
 use crate::objective_store::ObjectiveRecord;
 use crate::shard::{CompactionStats, Shard, UpsertOutcome};
-use crate::view::ReadHandle;
+use crate::view::{ReadHandle, ShardView, StoredRecord};
 use crate::wal::{ReplayReport, SyncPolicy};
 
 /// First line of `store.meta`.
@@ -467,88 +468,110 @@ impl StoreReader {
         self.len() == 0
     }
 
+    /// The one read path every query below shares: the records `select`
+    /// picks out of the views of `shards`, by reference, shard by shard
+    /// and within a shard in first-insert (seq) order. The references
+    /// borrow this reader's cached views, so callers clone only what they
+    /// return and hold no lock while they use them.
+    fn sorted(
+        &mut self,
+        shards: Range<usize>,
+        select: impl for<'v> Fn(&'v ShardView, &mut Vec<&'v StoredRecord>),
+    ) -> Vec<&StoredRecord> {
+        let mut rows = Vec::new();
+        for (handle, shard) in self.handles[shards.clone()].iter_mut().zip(&self.shards[shards]) {
+            let start = rows.len();
+            select(handle.view(shard.cell()), &mut rows);
+            rows[start..].sort_unstable_by_key(|s| s.seq);
+        }
+        rows
+    }
+
+    /// One company's records (touches exactly one shard).
+    fn company_rows(&mut self, company: &str) -> Vec<&StoredRecord> {
+        let i = shard_index(company, self.shards.len());
+        self.sorted(i..i + 1, |view, rows| view.for_company(company, |s| rows.push(s)))
+    }
+
+    /// Every record, ordered by (shard, first-insert seq).
+    fn all_rows(&mut self) -> Vec<&StoredRecord> {
+        self.sorted(0..self.shards.len(), |view, rows| view.for_each(|s| rows.push(s)))
+    }
+
+    /// Visits one company's records by reference, in stable first-insert
+    /// order, and returns how many it visited. The visit reads one
+    /// immutable shard view and holds no lock while `f` runs; a steady
+    /// state read takes none at all (see [`StoreReader`]).
+    pub fn visit_company(&mut self, company: &str, mut f: impl FnMut(&ObjectiveRecord)) -> usize {
+        let rows = self.company_rows(company);
+        rows.iter().for_each(|s| f(&s.record));
+        rows.len()
+    }
+
     /// All records of one company (touches exactly one shard), in stable
     /// first-insert order.
     pub fn by_company(&mut self, company: &str) -> Vec<ObjectiveRecord> {
-        let i = shard_index(company, self.shards.len());
-        let view = self.handles[i].view(self.shards[i].cell());
-        let mut rows = Vec::new();
-        view.for_company(company, |s| rows.push((s.seq, s.record.clone())));
-        rows.sort_by_key(|(seq, _)| *seq);
-        rows.into_iter().map(|(_, r)| r).collect()
+        cloned(self.company_rows(company))
     }
 
     /// Every record in the store, ordered by (shard, first-insert seq).
     pub fn records(&mut self) -> Vec<ObjectiveRecord> {
-        let mut out = Vec::new();
-        for i in 0..self.shards.len() {
-            let view = self.handles[i].view(self.shards[i].cell());
-            let mut rows = Vec::new();
-            view.for_each(|s| rows.push((s.seq, s.record.clone())));
-            rows.sort_by_key(|(seq, _)| *seq);
-            out.extend(rows.into_iter().map(|(_, r)| r));
-        }
-        out
+        cloned(self.all_rows())
     }
 
     /// Objectives with deadline years in `[from, to]` — the monitoring
     /// query, answered from the per-shard deadline indexes.
     pub fn deadlines_between(&mut self, from: i64, to: i64) -> Vec<ObjectiveRecord> {
-        let mut out = Vec::new();
-        for i in 0..self.shards.len() {
-            let view = self.handles[i].view(self.shards[i].cell());
-            let mut rows = Vec::new();
-            view.for_deadline_range(from, to, |s| rows.push((s.seq, s.record.clone())));
-            rows.sort_by_key(|(seq, _)| *seq);
-            out.extend(rows.into_iter().map(|(_, r)| r));
-        }
-        out
+        cloned(self.sorted(0..self.shards.len(), |view, rows| {
+            view.for_deadline_range(from, to, |s| rows.push(s))
+        }))
     }
 
     /// The top `k` objectives of a company by detection score, completeness
     /// breaking ties (mirrors `ObjectiveStore::top_objectives`).
     pub fn top_objectives(&mut self, company: &str, k: usize) -> Vec<ObjectiveRecord> {
-        let mut records = self.by_company(company);
-        records.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
+        let mut rows = self.company_rows(company);
+        rows.sort_by(|a, b| {
+            b.record
+                .score
+                .partial_cmp(&a.record.score)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| b.completeness().cmp(&a.completeness()))
+                .then_with(|| b.record.completeness().cmp(&a.record.completeness()))
         });
-        records.truncate(k);
-        records
+        rows.truncate(k);
+        cloned(rows)
     }
 
     /// Objective counts per company, sorted by company name.
     pub fn counts_by_company(&mut self) -> Vec<(String, usize)> {
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        for i in 0..self.shards.len() {
-            let view = self.handles[i].view(self.shards[i].cell());
-            view.for_each(|s| *counts.entry(s.record.company.clone()).or_default() += 1);
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for s in self.all_rows() {
+            *counts.entry(&s.record.company).or_default() += 1;
         }
-        counts.into_iter().collect()
+        counts.into_iter().map(|(company, n)| (company.to_string(), n)).collect()
     }
 
     /// Mean completeness (fields per record) per company.
     pub fn specificity_by_company(&mut self) -> Vec<(String, f64)> {
-        let mut sums: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for i in 0..self.shards.len() {
-            let view = self.handles[i].view(self.shards[i].cell());
-            view.for_each(|s| {
-                let entry = sums.entry(s.record.company.clone()).or_default();
-                entry.0 += s.record.completeness();
-                entry.1 += 1;
-            });
+        let mut sums: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+        for s in self.all_rows() {
+            let entry = sums.entry(&s.record.company).or_default();
+            entry.0 += s.record.completeness();
+            entry.1 += 1;
         }
         sums.into_iter()
-            .map(|(company, (sum, n))| (company, sum as f64 / n.max(1) as f64))
+            .map(|(company, (sum, n))| (company.to_string(), sum as f64 / n.max(1) as f64))
             .collect()
     }
 
     /// Exports the visible snapshot as a JSON array.
     pub fn export_json(&mut self) -> String {
-        codec::records_to_json(&self.records())
+        codec::records_to_json(self.all_rows().into_iter().map(|s| &s.record))
     }
+}
+
+fn cloned(rows: Vec<&StoredRecord>) -> Vec<ObjectiveRecord> {
+    rows.into_iter().map(|s| s.record.clone()).collect()
 }
 
 /// Anything the extraction pipeline can stream upserts into. Implemented by

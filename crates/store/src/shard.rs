@@ -580,6 +580,39 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_compaction_stops_appends_until_a_retry_succeeds() {
+        use crate::wal::Fault;
+        for fault in [Fault::DirSyncError, Fault::ReopenError] {
+            let dir = tmp_dir(&format!("compact-{fault:?}"));
+            let path = dir.join("shard-0.log");
+            let (shard, _) = Shard::open(0, Some(&path), SyncPolicy::Always, 4).expect("open");
+            for i in 0..6 {
+                shard.upsert(&record("Acme", &format!("obj-{i}"))).unwrap();
+            }
+            shard.inject(fault);
+            assert!(shard.compact().is_err(), "{fault:?}: the failure must surface");
+            assert!(shard.upsert(&record("Acme", "refused")).is_err(), "{fault:?}");
+            assert_eq!(shard.len(), 6, "{fault:?}: a refused upsert changes nothing");
+            let stats = shard.compact().expect("the retry succeeds");
+            assert_eq!(stats.ops_folded, 6, "{fault:?}: the failed compaction folded nothing");
+            assert_eq!(shard.upsert(&record("Acme", "after")).ok(), Some(UpsertOutcome::Inserted));
+            let view = shard.cell().load();
+            let mut live = Vec::new();
+            view.for_each(|s| live.push(s.clone()));
+            drop(shard);
+            let (shard, report) =
+                Shard::open(0, Some(&path), SyncPolicy::Always, 4).expect("reopen");
+            assert_eq!((report.frames, report.torn_tail), (7, false), "{fault:?}");
+            let mut recovered = Vec::new();
+            shard.cell().load().for_each(|s| recovered.push(s.clone()));
+            live.sort_by_key(|s| s.seq);
+            recovered.sort_by_key(|s| s.seq);
+            assert_eq!(recovered, live, "{fault:?}: state is intact after reopen");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn a_batch_makes_sequential_decisions_and_publishes_once() {
         let (shard, _) = Shard::open(0, None, SyncPolicy::Always, 2).expect("open");
         let first = record("Acme", "obj-1");

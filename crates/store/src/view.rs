@@ -129,8 +129,9 @@ impl ShardView {
     }
 
     /// Visits every live record. Order is base-seq then delta-seq; callers
-    /// needing global seq order sort afterwards.
-    pub fn for_each(&self, mut f: impl FnMut(&StoredRecord)) {
+    /// needing global seq order sort afterwards. The references live as
+    /// long as the view, so callers may keep them.
+    pub fn for_each<'a>(&'a self, mut f: impl FnMut(&'a StoredRecord)) {
         for r in self.base.records.iter() {
             if self.base_is_live(r) {
                 f(r);
@@ -142,7 +143,7 @@ impl ShardView {
     }
 
     /// Visits every live record of one company.
-    pub fn for_company(&self, company: &str, mut f: impl FnMut(&StoredRecord)) {
+    pub fn for_company<'a>(&'a self, company: &str, mut f: impl FnMut(&'a StoredRecord)) {
         if let Some(ids) = self.base.by_company.get(company) {
             for &i in ids {
                 let r = &self.base.records[i as usize];
@@ -158,8 +159,13 @@ impl ShardView {
         }
     }
 
-    /// Visits every live record whose deadline year is in `[lo, hi]`.
-    pub fn for_deadline_range(&self, lo: i64, hi: i64, mut f: impl FnMut(&StoredRecord)) {
+    /// Visits every live record whose deadline year is in `[lo, hi]` (none
+    /// when `lo > hi`).
+    pub fn for_deadline_range<'a>(&'a self, lo: i64, hi: i64, mut f: impl FnMut(&'a StoredRecord)) {
+        if lo > hi {
+            // `BTreeMap::range` panics on an inverted range.
+            return;
+        }
         for (_, ids) in self.base.by_deadline.range(lo..=hi) {
             for &i in ids {
                 let r = &self.base.records[i as usize];
@@ -324,6 +330,7 @@ mod tests {
         assert_eq!(years, vec![2026, 2030]);
         let mut none = Vec::new();
         view.for_deadline_range(2040, 2050, |r| none.push(r.key));
+        view.for_deadline_range(2035, 2025, |r| none.push(r.key));
         assert!(none.is_empty());
     }
 

@@ -58,7 +58,8 @@ pub enum SyncPolicy {
     OsOnly,
 }
 
-/// A failure the unit tests inject into the next [`Wal::append_batch`].
+/// A failure the unit tests inject into the next [`Wal::append_batch`]
+/// (the first four) or the next [`Wal::rewrite`] (the last two).
 #[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Fault {
@@ -71,6 +72,10 @@ pub(crate) enum Fault {
     SyncError,
     /// A short write of `n` bytes whose rollback truncation fails too.
     ShortWriteNoRollback(usize),
+    /// The rename lands, then the directory `fsync` errors.
+    DirSyncError,
+    /// The rename lands, then reopening the new log for append errors.
+    ReopenError,
 }
 
 /// What replay found in a log file.
@@ -96,8 +101,11 @@ pub struct Wal {
     unsynced: bool,
     /// `fsync`s issued since open.
     syncs: u64,
-    /// Set when a failed batch could not be truncated away: the file may
-    /// end in a partial frame, so nothing may be appended behind it.
+    /// Set when a failure left the log unfit for appends: a failed batch
+    /// that could not be truncated away (the file may end in a partial
+    /// frame), or a compaction that failed after its rename (the handle
+    /// may be the replaced, unlinked file, or the rename may not be
+    /// durable). Cleared only by a successful [`Wal::rewrite`] or a reopen.
     stuck: bool,
     policy: SyncPolicy,
     #[cfg(test)]
@@ -255,7 +263,8 @@ impl Wal {
     pub fn append_batch<S: AsRef<str>>(&mut self, payloads: &[S]) -> io::Result<()> {
         if self.stuck {
             return Err(io::Error::other(format!(
-                "{}: a failed append could not be rolled back; reopen the log",
+                "{}: an earlier append or compaction failed part way; \
+                 compact or reopen the log",
                 self.path.display()
             )));
         }
@@ -288,12 +297,16 @@ impl Wal {
         #[cfg(test)]
         if let Some(fault) = self.fault {
             let landed = match fault {
-                Fault::ShortWrite(n) | Fault::ShortWriteNoRollback(n) => n.min(frames.len()),
-                Fault::WriteError => 0,
-                Fault::SyncError => frames.len(),
+                Fault::ShortWrite(n) | Fault::ShortWriteNoRollback(n) => Some(n.min(frames.len())),
+                Fault::WriteError => Some(0),
+                Fault::SyncError => Some(frames.len()),
+                // Compaction faults wait for the next `rewrite`.
+                Fault::DirSyncError | Fault::ReopenError => None,
             };
-            self.file.write_all(&frames[..landed])?;
-            return Err(io::Error::other(format!("injected {fault:?}")));
+            if let Some(landed) = landed {
+                self.file.write_all(&frames[..landed])?;
+                return Err(io::Error::other(format!("injected {fault:?}")));
+            }
         }
         self.file.write_all(frames)?;
         self.unsynced = true;
@@ -316,10 +329,21 @@ impl Wal {
         self.file.sync_data()
     }
 
-    /// Makes the next [`append_batch`](Self::append_batch) fail with `fault`.
+    /// Makes the next [`append_batch`](Self::append_batch) or
+    /// [`rewrite`](Self::rewrite) fail with `fault`.
     #[cfg(test)]
     pub(crate) fn inject(&mut self, fault: Fault) {
         self.fault = Some(fault);
+    }
+
+    /// Fails with `fault` when it is the injected one, consuming it.
+    #[cfg(test)]
+    fn injected(&mut self, fault: Fault) -> io::Result<()> {
+        if self.fault != Some(fault) {
+            return Ok(());
+        }
+        self.fault = None;
+        Err(io::Error::other(format!("injected {fault:?}")))
     }
 
     /// Forces an `fsync` of everything appended so far.
@@ -355,7 +379,10 @@ impl Wal {
 
     /// Atomically replaces the log's contents with `payloads` (compaction):
     /// writes a fresh file alongside, fsyncs it, renames it over the old
-    /// log, and re-opens for append.
+    /// log, re-opens it for append and fsyncs the directory so the rename
+    /// is durable. A failure before the rename leaves the old log in use.
+    /// A failure after it leaves the log refusing appends until a later
+    /// `rewrite` succeeds or the log is reopened.
     pub fn rewrite(&mut self, payloads: impl Iterator<Item = String>) -> io::Result<()> {
         let tmp_path = self.path.with_extension("log.tmp");
         let mut content: Vec<u8> = format!("{WAL_MAGIC}\n").into_bytes();
@@ -368,19 +395,31 @@ impl Wal {
             tmp.sync_data()?;
         }
         std::fs::rename(&tmp_path, &self.path)?;
-        // Sync the directory entry so the rename itself is durable.
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
+        // `self.file` is now the replaced, unlinked file: an append to it
+        // would be acknowledged and then lost on restart. Until the new
+        // log is open and its directory entry durable, refuse appends.
+        self.stuck = true;
+        #[cfg(test)]
+        self.injected(Fault::ReopenError)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.len = content.len() as u64;
         self.unsynced = false;
+        self.sync_dir()?;
         // The fresh file holds only committed frames, so a log stuck behind
         // an unrolled-back batch is append-ready again.
         self.stuck = false;
         Ok(())
+    }
+
+    /// Fsyncs the directory holding the log, making a rename in it durable.
+    fn sync_dir(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        self.injected(Fault::DirSyncError)?;
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()
     }
 }
 
@@ -557,6 +596,36 @@ mod tests {
         wal.append("after reopen").expect("reopened log appends");
         drop(wal);
         assert_eq!(replayed_clean(&path), ["committed", "after reopen"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_compaction_that_fails_after_its_rename_refuses_appends_until_a_retry() {
+        let dir = tmp_dir("rewrite-fault");
+        for fault in [Fault::DirSyncError, Fault::ReopenError] {
+            let path = dir.join(format!("{fault:?}.log"));
+            let (mut wal, _, _) = Wal::open(&path, SyncPolicy::Always).expect("open");
+            wal.append_batch(&["op 1", "op 2"]).expect("append");
+            wal.inject(fault);
+            let live = || ["live".to_string()].into_iter();
+            assert!(wal.rewrite(live()).is_err(), "{fault:?}: the failure must surface");
+            assert!(wal.append("refused").is_err(), "{fault:?}: appends must be refused");
+            wal.rewrite(live()).expect("the retry succeeds");
+            wal.append("after").expect("appends work again");
+            drop(wal);
+            assert_eq!(replayed_clean(&path), ["live", "after"], "{fault:?}");
+
+            // Reopening instead of retrying also makes the log append-ready.
+            let (mut wal, _, _) = Wal::open(&path, SyncPolicy::Always).expect("open");
+            wal.inject(fault);
+            assert!(wal.rewrite(live()).is_err(), "{fault:?}");
+            drop(wal);
+            let (mut wal, seen, _) = Wal::open(&path, SyncPolicy::Always).expect("reopen");
+            assert_eq!(seen, ["live"], "{fault:?}: the rename landed");
+            wal.append("after reopen").expect("a reopened log appends");
+            drop(wal);
+            assert_eq!(replayed_clean(&path), ["live", "after reopen"], "{fault:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

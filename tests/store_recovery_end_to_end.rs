@@ -205,8 +205,9 @@ fn concurrent_readers_see_consistent_views_under_write_load() {
 #[test]
 fn batch_readers_see_whole_batches_only() {
     // One writer commits same-company batches of `BATCH` into a fresh store.
-    // A shard publishes once per batch, so readers polling that company
-    // only ever count whole batches.
+    // A shard publishes once per batch, so readers polling that company,
+    // whether they clone the records or stream them by reference, only
+    // ever count whole batches.
     const BATCHES: usize = 40;
     let db = Arc::new(ObjectiveDb::ephemeral(store_config()));
     let stop = Arc::new(AtomicBool::new(false));
@@ -227,6 +228,15 @@ fn batch_readers_see_whole_batches_only() {
                     assert_eq!(seen % BATCH, 0, "a reader saw part of a batch: {seen} records");
                     assert!(seen >= last, "published view went backwards: {seen} < {last}");
                     last = seen;
+                    let mut visited = 0;
+                    let streamed = reader.visit_company("Batch Co", |record| {
+                        assert_eq!(record.company, "Batch Co");
+                        visited += 1;
+                    });
+                    assert_eq!(streamed, visited);
+                    assert_eq!(streamed % BATCH, 0, "a stream saw part of a batch: {streamed}");
+                    assert!(streamed >= last, "streamed view went backwards: {streamed} < {last}");
+                    last = streamed;
                 }
             });
         }
