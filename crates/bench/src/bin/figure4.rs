@@ -94,8 +94,8 @@ impl Harness {
         let mut table = TextTable::new(&["Model", "P", "R", "F1", "Pretrain", "Fine-tune"]);
         let mut json_rows = Vec::new();
         for model in TransformerConfig::figure4_variants() {
-            let (base, pre_secs) = gs_eval::time_it(|| self.pretrain_base(&model));
-            let (ex, ft_secs) = gs_eval::time_it(|| {
+            let (base, pre_secs) = gs_obs::time_it(|| self.pretrain_base(&model));
+            let (ex, ft_secs) = gs_obs::time_it(|| {
                 TransformerExtractor::train(
                     &train,
                     &self.dataset.labels,

@@ -37,7 +37,7 @@ use gs_models::transformer::{
 use gs_models::{DetailExtractor, LinearDetector, LinearDetectorConfig};
 use gs_obs::Rng;
 use gs_pipeline::{ingest_report_text, ingest_snapshot, GoalSpotter};
-use gs_store::ObjectiveStore;
+use gs_store::ObjectiveDb;
 use gs_text::labels::LabelSet;
 use gs_text::{Normalizer, Tokenizer};
 use std::fmt::Write as _;
@@ -141,7 +141,7 @@ fn generate_ingest_fixture(out: &Path) {
     std::fs::write(out.join("report.txt"), &report.text).expect("write report.txt");
 
     let gs = GoalSpotter::from_parts(detector, extractor, 0.5);
-    let store = ObjectiveStore::new();
+    let store = ObjectiveDb::new();
     let (stats, objectives) =
         ingest_report_text(&gs, "Golden Corp", "golden-report", &report.text, &store);
     let doc = gs_ingest::parse(&report.text);

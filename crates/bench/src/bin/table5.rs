@@ -11,7 +11,7 @@ use gs_bench::Args;
 use gs_eval::TextTable;
 use gs_obs::Json;
 use gs_pipeline::process_corpus;
-use gs_store::ObjectiveStore;
+use gs_store::ObjectiveDb;
 use std::path::Path;
 
 fn main() {
@@ -25,8 +25,8 @@ fn main() {
     eprintln!("generating deployment corpus at scale {scale}...");
     let corpus = gs_data::deployment::generate_corpus(scale, 20240511);
     eprintln!("processing {} reports / {} pages...", corpus.reports.len(), corpus.num_pages());
-    let store = ObjectiveStore::new();
-    let (stats, secs) = gs_eval::time_it(|| process_corpus(&gs, &corpus, &store));
+    let store = ObjectiveDb::new();
+    let (stats, secs) = gs_obs::time_it(|| process_corpus(&gs, &corpus, &store));
 
     println!("\n## Table 5 — post-deployment data summary (scale {scale})\n");
     let mut table = TextTable::new(&[

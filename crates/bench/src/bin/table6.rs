@@ -11,7 +11,7 @@ use gs_bench::deploy::{build_goalspotter, record_row, DeployBudget};
 use gs_bench::Args;
 use gs_eval::TextTable;
 use gs_pipeline::process_corpus;
-use gs_store::ObjectiveStore;
+use gs_store::ObjectiveDb;
 use std::path::Path;
 
 fn main() {
@@ -24,8 +24,9 @@ fn main() {
 
     let gs = build_goalspotter(&budget, Path::new("results"));
     let corpus = gs_data::deployment::generate_corpus(scale, 20240511);
-    let store = ObjectiveStore::new();
+    let store = ObjectiveDb::new();
     let _ = process_corpus(&gs, &corpus, &store);
+    let mut reader = store.reader();
 
     println!(
         "\n## Table 6 — extracted details for the top 2 objectives per company (scale {scale})\n"
@@ -41,7 +42,7 @@ fn main() {
     ]);
     let mut json_rows = Vec::new();
     for profile in gs_data::deployment::TABLE5 {
-        for record in store.top_objectives(profile.name, 2) {
+        for record in reader.top_objectives(profile.name, 2) {
             table.row(&record_row(&record, 70));
             json_rows.push(record);
         }
@@ -49,7 +50,7 @@ fn main() {
     print!("{}", table.render());
 
     println!("\n## Specificity per company (mean extracted fields per objective, paper §5.1)\n");
-    let mut spec = store.specificity_by_company();
+    let mut spec = reader.specificity_by_company();
     spec.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     let mut spec_table = TextTable::new(&["Company", "Mean fields/objective"]);
     for (company, mean) in &spec {

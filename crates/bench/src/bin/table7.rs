@@ -11,7 +11,7 @@ use gs_bench::deploy::{build_goalspotter, record_row, DeployBudget};
 use gs_bench::Args;
 use gs_eval::TextTable;
 use gs_pipeline::process_report;
-use gs_store::ObjectiveStore;
+use gs_store::ObjectiveDb;
 use std::path::Path;
 
 fn main() {
@@ -33,8 +33,9 @@ fn main() {
         &mut rng,
     );
 
-    let store = ObjectiveStore::new();
+    let store = ObjectiveDb::new();
     let stats = process_report(&gs, &report, &store);
+    let mut reader = store.reader();
     println!(
         "\nScanned {} pages / {} blocks; detected {} objectives ({} FP, {} FN vs ground truth).",
         stats.pages, stats.blocks, stats.detected, stats.false_positives, stats.false_negatives
@@ -50,7 +51,7 @@ fn main() {
         "Baseline",
         "Deadline",
     ]);
-    let records = store.by_company("DemoCorp");
+    let records = reader.by_company("DemoCorp");
     for record in &records {
         table.row(&record_row(record, 80));
     }
@@ -58,7 +59,7 @@ fn main() {
 
     // The paper stores these in a database for later monitoring; show the
     // monitoring query working.
-    let upcoming = store.deadlines_between(2024, 2045);
+    let upcoming = reader.deadlines_between(2024, 2045);
     println!(
         "\nmonitoring query: {} of {} objectives have deadlines in 2024-2045",
         upcoming.len(),

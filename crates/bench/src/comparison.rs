@@ -115,7 +115,7 @@ fn run_once(
     let labels = &dataset.labels;
     match kind {
         ApproachKind::Crf => {
-            let (ex, secs) = gs_eval::time_it(|| {
+            let (ex, secs) = gs_obs::time_it(|| {
                 CrfExtractor::train(
                     train,
                     labels,
@@ -126,7 +126,7 @@ fn run_once(
             (evaluate_extractor(&ex, test, labels), secs)
         }
         ApproachKind::Hmm => {
-            let (ex, secs) = gs_eval::time_it(|| {
+            let (ex, secs) = gs_obs::time_it(|| {
                 HmmExtractor::train(train, labels, HmmConfig::default(), options.weak_label)
             });
             (evaluate_extractor(&ex, test, labels), secs)
@@ -155,7 +155,7 @@ fn run_once(
                 base: base.cloned(),
             };
             let (ex, secs) =
-                gs_eval::time_it(|| TransformerExtractor::train(train, labels, extractor_options));
+                gs_obs::time_it(|| TransformerExtractor::train(train, labels, extractor_options));
             (evaluate_extractor(&ex, test, labels), secs)
         }
     }
@@ -181,7 +181,7 @@ pub fn compare_approaches(
             );
             let texts: Vec<&str> = options.pretrain_corpus.iter().map(String::as_str).collect();
             let (encoder, secs) =
-                gs_eval::time_it(|| pretrain_encoder_shared(&texts, &options.model, pc));
+                gs_obs::time_it(|| pretrain_encoder_shared(&texts, &options.model, pc));
             pretrain_seconds = secs;
             Some(encoder)
         }

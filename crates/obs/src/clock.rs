@@ -1,9 +1,8 @@
 //! Wall-clock timing plus the "simulated minutes" accounting used for the
 //! LLM-prompting baselines' efficiency column (see DESIGN.md).
 //!
-//! This is the single source of wall-clock truth for the workspace:
-//! `gs-eval::timing` re-exports these types, and span durations
-//! ([`crate::Span`]) read the same monotonic clock.
+//! This is the single source of wall-clock truth for the workspace: span
+//! durations ([`crate::Span`]) read the same monotonic clock.
 
 use std::time::{Duration, Instant};
 

@@ -3,8 +3,9 @@
 //! real and simulated (LLM round-trip) time.
 
 use gs_core::Objective;
-use gs_eval::{evaluate_extractions, FieldEval, Stopwatch};
+use gs_eval::{evaluate_extractions, FieldEval};
 use gs_models::DetailExtractor;
+use gs_obs::Stopwatch;
 use gs_text::labels::LabelSet;
 use std::time::Duration;
 

@@ -234,7 +234,7 @@ pub(crate) mod tests {
     use gs_data::fullreport::{generate_full_report, FullReportConfig, TruthPlacement};
     use gs_models::transformer::{ExtractorOptions, TrainConfig, TransformerConfig};
     use gs_obs::Rng;
-    use gs_store::{ObjectiveDb, ObjectiveStore, StoreConfig};
+    use gs_store::{ObjectiveDb, StoreConfig};
     use gs_text::labels::LabelSet;
 
     /// A tiny system whose detector has seen indicator names as noise —
@@ -274,7 +274,7 @@ pub(crate) mod tests {
     fn ingests_a_full_report_with_provenance_and_reruns_idempotently() {
         let gs = tiny_ingest_system();
         let report = report();
-        let store = ObjectiveStore::new();
+        let store = ObjectiveDb::new();
         let (stats, objectives) = ingest_report_text(&gs, "Acme Corp", "csr", &report.text, &store);
 
         assert_eq!(stats.bytes, report.text.len());
@@ -323,21 +323,21 @@ pub(crate) mod tests {
         }
 
         // Provenance landed in the store.
-        let stored = store.export_json();
+        let stored = store.reader().export_json();
         assert!(stored.contains("section_path"), "export carries provenance: {stored}");
 
         // Re-ingesting the same text changes nothing.
         let (again, _) = ingest_report_text(&gs, "Acme Corp", "csr", &report.text, &store);
         assert_eq!(again.inserted, 0, "re-run must not insert: {again:?}");
         assert_eq!(again.unchanged, again.detected);
-        assert_eq!(store.export_json(), stored);
+        assert_eq!(store.reader().export_json(), stored);
     }
 
     #[test]
     fn table_cell_precision_rejects_indicator_and_baseline_cells() {
         let gs = tiny_ingest_system();
         let report = report();
-        let store = ObjectiveStore::new();
+        let store = ObjectiveDb::new();
         let (_, objectives) = ingest_report_text(&gs, "Acme", "csr", &report.text, &store);
         let truth_cells: std::collections::HashSet<&str> = report
             .truths
@@ -360,10 +360,10 @@ pub(crate) mod tests {
         let report = report();
         let run = |threads: usize| {
             gs_par::with_threads(threads, || {
-                let store = ObjectiveStore::new();
+                let store = ObjectiveDb::new();
                 let (stats, objectives) =
                     ingest_report_text(&gs, "Acme", "csr", &report.text, &store);
-                (stats, objectives, store.export_json())
+                (stats, objectives, store.reader().export_json())
             })
         };
         let (s1, o1, e1) = run(1);
@@ -416,7 +416,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_and_degenerate_inputs_ingest_cleanly() {
         let gs = tiny_ingest_system();
-        let store = ObjectiveStore::new();
+        let store = ObjectiveDb::new();
         for text in ["", "\n\n\n", "| | |\n", "####\n", "12345 67 89\n"] {
             let (stats, objectives) = ingest_report_text(&gs, "Acme", "csr", text, &store);
             assert_eq!(stats.detected, objectives.len(), "input {text:?}");

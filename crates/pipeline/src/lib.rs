@@ -3,7 +3,9 @@
 //! GoalSpotter end to end (paper Figure 2 and §5): the development phase
 //! trains the detection stage and the weakly supervised extraction service;
 //! the production phase sweeps reports, detects objective blocks, extracts
-//! their details, and fills the structured [`gs_store::ObjectiveStore`].
+//! their details, and upserts them into any [`gs_store::ObjectiveSink`] —
+//! in practice the structured [`gs_store::ObjectiveDb`], on disk or
+//! ephemeral.
 //! [`evaluate_extractor`] is the shared driver behind every comparison in
 //! the benchmark harnesses. [`ingest_report_text`] is the raw-text front
 //! door: it parses whole semi-structured reports with `gs-ingest` and

@@ -14,7 +14,7 @@
 //! `u <seq> <version> <record fields…>`.
 
 use crate::hash::Fnv1a64;
-use crate::objective_store::ObjectiveRecord;
+use crate::record::ObjectiveRecord;
 use gs_obs::json::{write_f64, write_string};
 
 /// Escapes one field for the tab-separated line format.

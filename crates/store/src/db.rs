@@ -47,7 +47,7 @@ use std::time::Duration;
 
 use crate::codec;
 use crate::hash::fnv1a64;
-use crate::objective_store::ObjectiveRecord;
+use crate::record::ObjectiveRecord;
 use crate::shard::{CompactionStats, Shard, UpsertOutcome};
 use crate::view::{ReadHandle, ShardView, StoredRecord};
 use crate::wal::{ReplayReport, SyncPolicy};
@@ -124,6 +124,12 @@ impl std::fmt::Debug for ObjectiveDb {
     }
 }
 
+impl Default for ObjectiveDb {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// The shard a company's records live in, out of `shards`.
 fn shard_index(company: &str, shards: usize) -> usize {
     (fnv1a64(company.as_bytes()) % shards as u64) as usize
@@ -193,6 +199,11 @@ impl ObjectiveDb {
             db.publish_gauges();
         }
         Ok((db, report))
+    }
+
+    /// An [`ephemeral`](Self::ephemeral) store at [`StoreConfig::default`].
+    pub fn new() -> Self {
+        Self::ephemeral(StoreConfig::default())
     }
 
     /// An in-memory store with the same upsert/merge/read semantics and no
@@ -291,6 +302,16 @@ impl ObjectiveDb {
                 }
             }
             gs_obs::gauge(&format!("store.shard{}.records", shard.id()), shard.len() as f64);
+            gs_obs::emit(
+                "store_write",
+                "store.objectives",
+                vec![
+                    ("shard", shard.id().into()),
+                    ("inserted", count(UpsertOutcome::Inserted).into()),
+                    ("updated", count(UpsertOutcome::Updated).into()),
+                    ("unchanged", count(UpsertOutcome::Unchanged).into()),
+                ],
+            );
         }
         if self.config.compact_after_ops > 0
             && logged > 0
@@ -528,14 +549,12 @@ impl StoreReader {
     }
 
     /// The top `k` objectives of a company by detection score, completeness
-    /// breaking ties (mirrors `ObjectiveStore::top_objectives`).
+    /// breaking ties and first-insert order after that. A NaN score ranks
+    /// below every other score.
     pub fn top_objectives(&mut self, company: &str, k: usize) -> Vec<ObjectiveRecord> {
         let mut rows = self.company_rows(company);
         rows.sort_by(|a, b| {
-            b.record
-                .score
-                .partial_cmp(&a.record.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            score_order(b.record.score, a.record.score)
                 .then_with(|| b.record.completeness().cmp(&a.record.completeness()))
         });
         rows.truncate(k);
@@ -574,9 +593,17 @@ fn cloned(rows: Vec<&StoredRecord>) -> Vec<ObjectiveRecord> {
     rows.into_iter().map(|s| s.record.clone()).collect()
 }
 
-/// Anything the extraction pipeline can stream upserts into. Implemented by
-/// [`ObjectiveDb`] and by the legacy in-memory `ObjectiveStore`, so
-/// `gs_pipeline::process_corpus` works against either.
+/// A total order on scores: numbers compare as usual and NaN sorts below
+/// every number. The sort in `top_objectives` needs a total order; mapping
+/// an unordered pair to `Equal` is not one, and std's sort may panic on it.
+fn score_order(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| b.is_nan().cmp(&a.is_nan()))
+}
+
+/// Anything the extraction pipeline can stream upserts into. [`ObjectiveDb`]
+/// is the store that implements it; other implementations wrap or record
+/// the upserts, for example to time them or to capture a pipeline's
+/// batches in a test.
 pub trait ObjectiveSink: Sync {
     /// Upserts one extracted record; reports what happened.
     fn upsert_record(&self, record: &ObjectiveRecord) -> io::Result<UpsertOutcome>;
@@ -599,16 +626,6 @@ impl ObjectiveSink for ObjectiveDb {
 
     fn upsert_batch(&self, records: &[ObjectiveRecord]) -> Vec<io::Result<UpsertOutcome>> {
         ObjectiveDb::upsert_batch(self, records)
-    }
-
-    fn record_count(&self) -> usize {
-        self.len()
-    }
-}
-
-impl ObjectiveSink for crate::ObjectiveStore {
-    fn upsert_record(&self, record: &ObjectiveRecord) -> io::Result<UpsertOutcome> {
-        Ok(self.upsert(record).1)
     }
 
     fn record_count(&self) -> usize {
@@ -672,6 +689,85 @@ mod tests {
             reader.counts_by_company(),
             vec![("Acme".into(), 3), ("Bcme".into(), 3), ("Ccme".into(), 3)]
         );
+        // Free-text deadlines land in the year index; records without one
+        // stay out of every window.
+        db.upsert(&record("Dcme", "soon", Some("the end of 2026"), 0.5)).unwrap();
+        db.upsert(&ObjectiveRecord { company: "Dcme".into(), ..ObjectiveRecord::default() })
+            .unwrap();
+        let soon = reader.deadlines_between(2024, 2027);
+        assert_eq!(soon.len(), 1);
+        assert_eq!(soon[0].deadline.as_deref(), Some("the end of 2026"));
+        assert_eq!(
+            reader.specificity_by_company(),
+            vec![
+                ("Acme".into(), 2.0),
+                ("Bcme".into(), 2.0),
+                ("Ccme".into(), 2.0),
+                ("Dcme".into(), 1.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn top_objectives_ranks_infinities_and_nan_without_panicking() {
+        // std's sort may panic when its comparator is not a total order (a
+        // NaN mapped to `Equal` is not), and only lists past its 20-element
+        // small-sort cutoff check; so the NaN visits every position of
+        // longer lists.
+        for len in [21, 33, 40] {
+            for pos in 0..len {
+                let db =
+                    ObjectiveDb::ephemeral(StoreConfig { shards: 1, ..StoreConfig::default() });
+                let mut scores: Vec<f64> =
+                    (0..len - 3).map(|i| (i * 7 % 10) as f64 / 10.0).collect();
+                scores.insert(len / 3, f64::INFINITY);
+                scores.insert(2 * len / 3, f64::NEG_INFINITY);
+                scores.insert(pos, f64::NAN);
+                for (i, &score) in scores.iter().enumerate() {
+                    db.upsert(&record("C1", &format!("objective {i}"), None, score)).unwrap();
+                }
+                let top = db.reader().top_objectives("C1", len);
+                let got: Vec<f64> = top.iter().map(|r| r.score).collect();
+                assert_eq!(got.len(), len);
+                assert_eq!(got[0], f64::INFINITY, "len {len} NaN at {pos}: {got:?}");
+                assert_eq!(got[len - 2], f64::NEG_INFINITY, "len {len} NaN at {pos}: {got:?}");
+                assert!(got[len - 1].is_nan(), "len {len} NaN at {pos}: {got:?}");
+                assert!(got[..len - 1].windows(2).all(|w| w[0] >= w[1]), "{got:?}");
+                let first = db.reader().top_objectives("C1", 1);
+                assert_eq!(first[0].score, f64::INFINITY);
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_stream_store_it_once() {
+        // Threads 0/2 and 1/3 upsert identical streams while reading: each
+        // identity inserts once and its twin upsert finds it unchanged.
+        let db = ObjectiveDb::new();
+        let outcomes: Vec<UpsertOutcome> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4)
+                .map(|t| {
+                    let db = &db;
+                    scope.spawn(move || {
+                        let mut reader = db.reader();
+                        (0..50)
+                            .map(|i| {
+                                let company = format!("C{}", t % 2 + 1);
+                                let r = record(&company, &format!("objective {i}"), None, 0.5);
+                                let outcome = db.upsert(&r).expect("upsert");
+                                let _ = reader.counts_by_company();
+                                outcome
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            writers.into_iter().flat_map(|w| w.join().expect("writer")).collect()
+        });
+        let inserted = outcomes.iter().filter(|&&o| o == UpsertOutcome::Inserted).count();
+        assert_eq!((inserted, outcomes.len() - inserted), (100, 100));
+        assert_eq!(db.len(), 100);
+        assert_eq!(db.reader().counts_by_company(), vec![("C1".into(), 50), ("C2".into(), 50)]);
     }
 
     #[test]

@@ -1,33 +1,32 @@
 //! # gs-store
 //!
 //! The structured database that extracted sustainability-objective details
-//! land in (paper §2.4, §5), in two layers:
+//! land in (paper §2.4, §5). It has one engine, [`ObjectiveDb`], and one
+//! record type, [`ObjectiveRecord`]:
 //!
-//! - **[`ObjectiveDb`]** — the production store: a sharded
-//!   (hash-by-company), crash-safe, log-structured database. Each shard
-//!   keeps an append-only WAL of checksummed text frames, replays it on
-//!   open (truncating torn tails), compacts in the background on the
-//!   gs-par pool, and publishes immutable views through an epoch/swap
-//!   cell so concurrent readers ([`StoreReader`]) run lock-free under
-//!   write load. Upserts merge details per (company, objective) and are
-//!   idempotent on identical content, so re-processing a report is safe.
-//! - **[`ObjectiveStore`]** — the original in-memory columnar engine
-//!   (typed columns, hash and btree secondary indexes, predicate queries,
-//!   group-by counts), still the lightweight choice for ad-hoc analysis
-//!   and the table-engine test bed.
+//! - **Writes** are sharded by company. Each shard keeps an append-only WAL
+//!   of checksummed text frames, replays it on open (truncating torn
+//!   tails) and compacts on the gs-par pool. Upserts merge details per
+//!   (company, objective) and are idempotent on identical content, so
+//!   re-processing a report is safe. [`ObjectiveDb::upsert_batch`] commits
+//!   each shard's part with one WAL write and one fsync.
+//! - **Reads** go through [`StoreReader`], which loads immutable views
+//!   published through an epoch/swap cell, so readers run lock-free under
+//!   write load. It answers the paper's monitoring queries: per-company
+//!   views, deadline windows, top-k by detection score, specificity
+//!   ranking and JSON export.
 //!
-//! Both support the paper's monitoring queries: per-company views,
-//! deadline windows, top-k by detection score, and specificity ranking.
+//! [`ObjectiveDb::open`] persists under a directory;
+//! [`ObjectiveDb::ephemeral`] and [`ObjectiveDb::new`] keep the same
+//! semantics in memory, for tests, examples and one-shot harness runs.
 
 #![warn(missing_docs)]
 
 mod codec;
 mod db;
 mod hash;
-mod objective_store;
+mod record;
 mod shard;
-mod table;
-mod value;
 mod view;
 mod wal;
 
@@ -39,9 +38,12 @@ pub use db::{
     CompactorHandle, ObjectiveDb, ObjectiveSink, RecoveryReport, StoreConfig, StoreReader,
 };
 pub use hash::{crc32, fnv1a64, Fnv1a64};
-pub use objective_store::{ObjectiveRecord, ObjectiveStore};
+pub use record::ObjectiveRecord;
 pub use shard::{CompactionStats, Shard, UpsertOutcome};
-pub use table::{Predicate, RowId, Schema, Table};
-pub use value::{ColumnType, Value};
 pub use view::{EpochCell, Generation, ReadHandle, ShardView, StoredRecord};
 pub use wal::{scan_frames, ReplayReport, SyncPolicy, Wal, WAL_MAGIC};
+
+/// The deleted in-memory engine's name, kept only for the benchmark's golden
+/// check (`perfbench/src/golden.rs`), which still builds its store by it.
+/// It goes away once the benchmark calls [`ObjectiveDb::new`] itself.
+pub type ObjectiveStore = ObjectiveDb;

@@ -29,7 +29,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::codec::{self, LogOp};
-use crate::objective_store::ObjectiveRecord;
+use crate::record::ObjectiveRecord;
 use crate::view::{EpochCell, Generation, ShardView, StoredRecord};
 use crate::wal::{ReplayReport, SyncPolicy, Wal};
 

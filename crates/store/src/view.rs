@@ -31,8 +31,7 @@ use std::sync::Arc;
 
 use gs_race::sync::{AtomicU64, Mutex, Ordering, Probe};
 
-use crate::objective_store::ObjectiveRecord;
-use crate::value::Value;
+use crate::record::ObjectiveRecord;
 
 /// One live record inside a shard, with its replay metadata.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,7 +51,7 @@ pub struct StoredRecord {
 impl StoredRecord {
     /// Builds the stored form, deriving the deadline-year column.
     pub fn new(key: u64, seq: u64, version: u32, record: ObjectiveRecord) -> Self {
-        let deadline_year = record.deadline.as_deref().and_then(Value::parse_year);
+        let deadline_year = record.deadline_year();
         StoredRecord { key, seq, version, record, deadline_year }
     }
 }

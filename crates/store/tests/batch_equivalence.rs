@@ -5,15 +5,14 @@
 //! outcomes of upserting the records one by one, in input order, the same
 //! export, the same WAL bytes per shard and the same state after reopen.
 //!
-//! Covers `ObjectiveDb` on disk, `ObjectiveDb` ephemeral, and the legacy
-//! `ObjectiveStore` through the provided `ObjectiveSink::upsert_batch`.
-//! Every assertion names its case and seed.
+//! Covers `ObjectiveDb` on disk, `ObjectiveDb` ephemeral, and the provided
+//! `ObjectiveSink::upsert_batch` (through a sink that implements only
+//! `upsert_record`). Every assertion names its case and seed.
 
 use gs_obs::Rng;
-use gs_store::{
-    ObjectiveDb, ObjectiveRecord, ObjectiveSink, ObjectiveStore, StoreConfig, UpsertOutcome,
-};
+use gs_store::{ObjectiveDb, ObjectiveRecord, ObjectiveSink, StoreConfig, UpsertOutcome};
 use std::collections::BTreeSet;
+use std::io;
 use std::path::{Path, PathBuf};
 
 const CASES: u64 = 32;
@@ -84,6 +83,20 @@ fn random_batches(rng: &mut Rng, len: usize) -> Vec<usize> {
         left -= n;
     }
     sizes
+}
+
+/// A sink that implements only the required methods, so its batches go
+/// through the provided `ObjectiveSink::upsert_batch`, one upsert at a time.
+struct PerRecord(ObjectiveDb);
+
+impl ObjectiveSink for PerRecord {
+    fn upsert_record(&self, record: &ObjectiveRecord) -> io::Result<UpsertOutcome> {
+        self.0.upsert(record)
+    }
+
+    fn record_count(&self) -> usize {
+        self.0.len()
+    }
 }
 
 fn sequential(sink: &dyn ObjectiveSink, records: &[ObjectiveRecord]) -> Vec<UpsertOutcome> {
@@ -182,14 +195,10 @@ fn batched_upserts_match_sequential_upserts_byte_for_byte() {
         assert_eq!(bat_db.reader().export_json(), export, "{why}: ephemeral batched export");
         assert_eq!(seq_db.reader().export_json(), export, "{why}: ephemeral sequential export");
 
-        // ObjectiveStore through the provided method.
-        let (seq_store, bat_store) = (ObjectiveStore::new(), ObjectiveStore::new());
-        let want = sequential(&seq_store, &records);
-        assert_eq!(batched(&bat_store, &records, &sizes), want, "{why}: ObjectiveStore outcomes");
-        assert_eq!(
-            bat_store.export_json(),
-            seq_store.export_json(),
-            "{why}: ObjectiveStore export"
-        );
+        // The provided method.
+        let sink = PerRecord(ObjectiveDb::ephemeral(config()));
+        assert_eq!(batched(&sink, &records, &sizes), want, "{why}: provided method outcomes");
+        assert_eq!(sink.0.reader().export_json(), export, "{why}: provided method export");
+        assert_eq!(sink.record_count(), seq_db.len(), "{why}: provided method count");
     }
 }

@@ -7,7 +7,7 @@
 
 use goalspotter::models::transformer::{ExtractorOptions, TrainConfig, TransformerConfig};
 use goalspotter::pipeline::{process_corpus, GoalSpotter, GoalSpotterConfig};
-use goalspotter::store::ObjectiveStore;
+use goalspotter::store::ObjectiveDb;
 use goalspotter::text::labels::LabelSet;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
     // Production: a 2%-scale version of the paper's 14-company corpus.
     let corpus = goalspotter::data::deployment::generate_corpus(0.02, 11);
     println!("processing {} reports / {} pages...", corpus.reports.len(), corpus.num_pages());
-    let store = ObjectiveStore::new();
+    let store = ObjectiveDb::new();
     let stats = process_corpus(&gs, &corpus, &store);
 
     println!("\nper-company summary (Table 5 at 2% scale):");
@@ -54,8 +54,9 @@ fn main() {
     println!("  total structured records: {}", store.len());
 
     println!("\ntop objective per company (Table 6 style):");
+    let mut reader = store.reader();
     for s in &stats {
-        if let Some(top) = store.top_objectives(&s.company, 1).into_iter().next() {
+        if let Some(top) = reader.top_objectives(&s.company, 1).into_iter().next() {
             let objective: String = top.objective.chars().take(70).collect();
             println!(
                 "  {:<5} {:<72} {}",

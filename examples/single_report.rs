@@ -7,7 +7,7 @@
 use goalspotter::data::documents::{generate_report, ReportConfig};
 use goalspotter::models::transformer::{ExtractorOptions, TrainConfig, TransformerConfig};
 use goalspotter::pipeline::{process_report, GoalSpotter, GoalSpotterConfig};
-use goalspotter::store::ObjectiveStore;
+use goalspotter::store::ObjectiveDb;
 use goalspotter::text::labels::LabelSet;
 
 fn main() {
@@ -57,7 +57,7 @@ fn main() {
     }
 
     // Production phase over the whole report.
-    let store = ObjectiveStore::new();
+    let store = ObjectiveDb::new();
     let stats = process_report(&gs, &report, &store);
     println!(
         "\nscanned {} pages / {} blocks; detected {} ({} FP, {} FN vs ground truth)",
@@ -65,7 +65,7 @@ fn main() {
     );
 
     println!("\nstructured records (paper Table 7 format):");
-    for record in store.by_company("DemoCorp") {
+    for record in store.reader().by_company("DemoCorp") {
         let objective: String = record.objective.chars().take(60).collect();
         println!(
             "  {:<62} action={:?} amount={:?} deadline={:?}",

@@ -15,7 +15,7 @@ use goalspotter::core::MultiSpanPolicy;
 use goalspotter::models::transformer::{ModelFamily, TransformerConfig, TransformerExtractor};
 use goalspotter::models::{DetailExtractor, LinearDetector};
 use goalspotter::pipeline::{ingest_report_text, ingest_snapshot, GoalSpotter};
-use goalspotter::store::ObjectiveStore;
+use goalspotter::store::ObjectiveDb;
 use goalspotter::text::labels::LabelSet;
 use goalspotter::text::{Normalizer, Tokenizer};
 use std::path::{Path, PathBuf};
@@ -124,7 +124,7 @@ fn frozen_ingest_pipeline_reproduces_the_golden_snapshot() {
     let mut exports = Vec::new();
     for threads in [1usize, 4] {
         gs_par::with_threads(threads, || {
-            let store = ObjectiveStore::new();
+            let store = ObjectiveDb::new();
             let (stats, objectives) =
                 ingest_report_text(&gs, "Golden Corp", "golden-report", &report, &store);
             let doc = goalspotter::ingest::parse(&report);
@@ -132,12 +132,16 @@ fn frozen_ingest_pipeline_reproduces_the_golden_snapshot() {
             assert_eq!(got, want, "golden ingest snapshot drifted at {threads} threads");
             assert!(stats.detected > 0, "frozen system must detect something");
 
-            let before = store.export_json();
+            let before = store.reader().export_json();
             let (again, _) =
                 ingest_report_text(&gs, "Golden Corp", "golden-report", &report, &store);
             assert_eq!(again.inserted, 0, "re-ingest must not insert");
             assert_eq!(again.unchanged, again.detected);
-            assert_eq!(store.export_json(), before, "re-ingest must leave the store untouched");
+            assert_eq!(
+                store.reader().export_json(),
+                before,
+                "re-ingest must leave the store untouched"
+            );
             exports.push(before);
         });
     }

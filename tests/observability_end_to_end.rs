@@ -11,7 +11,7 @@ use goalspotter::core::Objective;
 use goalspotter::models::transformer::{ExtractorOptions, TrainConfig, TransformerConfig};
 use goalspotter::obs::{Collector, Json, JsonlSink};
 use goalspotter::pipeline::{GoalSpotter, GoalSpotterConfig};
-use goalspotter::store::{ObjectiveRecord, ObjectiveStore};
+use goalspotter::store::{ObjectiveDb, ObjectiveRecord};
 use goalspotter::text::labels::LabelSet;
 
 fn tiny_config() -> GoalSpotterConfig {
@@ -49,15 +49,17 @@ fn jsonl_sink_captures_every_instrumented_subsystem() {
     assert!(gs.detection_score(text).is_finite());
     let details = gs.extract(text);
 
-    let store = ObjectiveStore::new();
-    store.insert(&ObjectiveRecord::from_details("AcmeCorp", "ESG 2026", text, &details, 0.9));
+    let store = ObjectiveDb::new();
+    store
+        .upsert(&ObjectiveRecord::from_details("AcmeCorp", "ESG 2026", text, &details, 0.9))
+        .expect("upsert");
 
     // Metrics side: the registry saw the same traffic the sink did.
     let snapshot = goalspotter::obs::snapshot().expect("collector installed");
     assert!(snapshot.counter("text.tokenize.calls") > 0);
     assert!(snapshot.counter("core.weak_label.objectives") >= 1);
     assert!(snapshot.counter("train.steps") > 0);
-    assert_eq!(snapshot.counter("store.writes"), 1);
+    assert_eq!(snapshot.counter("store.upserts.inserted"), 1);
     let extract_latency = snapshot.histogram("span.pipeline.extract").expect("extract histogram");
     assert!(extract_latency.total >= 1);
 

@@ -9,7 +9,7 @@ use goalspotter::models::transformer::{
 };
 use goalspotter::models::DetailExtractor;
 use goalspotter::pipeline::{evaluate_extractor, process_report, GoalSpotter, GoalSpotterConfig};
-use goalspotter::store::ObjectiveStore;
+use goalspotter::store::ObjectiveDb;
 use goalspotter::text::labels::LabelSet;
 
 fn tiny_extractor_options() -> ExtractorOptions {
@@ -45,7 +45,8 @@ fn full_pipeline_fills_the_store_with_consistent_records() {
     let mut rng = gs_obs::Rng::seed_from_u64(5);
     let report =
         generate_report("AcmeCorp", "Acme ESG 2025", 10, 9, &ReportConfig::default(), &mut rng);
-    let store = ObjectiveStore::new();
+    let store = ObjectiveDb::new();
+    let mut reader = store.reader();
     let stats = process_report(&gs, &report, &store);
 
     assert_eq!(stats.pages, 10);
@@ -59,14 +60,14 @@ fn full_pipeline_fills_the_store_with_consistent_records() {
 
     // Every stored record belongs to this report's company and keeps the
     // full objective text.
-    for record in store.by_company("AcmeCorp") {
+    for record in reader.by_company("AcmeCorp") {
         assert_eq!(record.company, "AcmeCorp");
         assert!(!record.objective.is_empty());
         assert!(record.score >= 0.5, "only detected blocks are stored");
     }
 
     // Monitoring query never returns records without a parsed deadline.
-    for record in store.deadlines_between(2000, 2100) {
+    for record in reader.deadlines_between(2000, 2100) {
         assert!(record.deadline.is_some());
     }
 }

@@ -9,9 +9,7 @@
 use goalspotter::core::{ExtractedDetails, MultiSpanPolicy};
 use goalspotter::models::transformer::{ModelFamily, TransformerConfig, TransformerExtractor};
 use goalspotter::models::DetailExtractor;
-use goalspotter::store::{
-    ObjectiveDb, ObjectiveRecord, ObjectiveSink, ObjectiveStore, StoreConfig,
-};
+use goalspotter::store::{ObjectiveDb, ObjectiveRecord, StoreConfig};
 use goalspotter::text::labels::LabelSet;
 use goalspotter::text::{Normalizer, Tokenizer};
 use std::path::{Path, PathBuf};
@@ -252,33 +250,6 @@ fn batch_readers_see_whole_batches_only() {
     // watched every publish and load; elsewhere this is empty.
     let races = gs_race::take_live_races();
     assert!(races.is_empty(), "live race detector flagged batch publishes: {races:?}");
-}
-
-#[test]
-fn db_and_in_memory_store_agree_on_the_same_stream() {
-    // Both sinks ingest the same stream (with duplicates) through the
-    // `ObjectiveSink` trait; per-company contents must be identical.
-    let db = ObjectiveDb::ephemeral(store_config());
-    let store = ObjectiveStore::new();
-    for sink in [&db as &dyn ObjectiveSink, &store as &dyn ObjectiveSink] {
-        for i in 0..120 {
-            sink.upsert_record(&stream_record(i % 80)).expect("upsert");
-        }
-    }
-    assert_eq!(db.len(), store.len());
-    let mut reader = db.reader();
-    for company in (0..7).map(|c| format!("Company-{c:02}")) {
-        let from_db = reader.by_company(&company);
-        let from_store = store.by_company(&company);
-        assert_eq!(from_db.len(), from_store.len(), "for {company}");
-        for (a, b) in from_db.into_iter().zip(from_store) {
-            // The table-backed store quantizes scores to milli precision;
-            // the log-structured store keeps exact bits. Everything else
-            // must be byte-identical.
-            let quantized = ObjectiveRecord { score: (a.score * 1000.0).round() / 1000.0, ..a };
-            assert_eq!(quantized, b, "for {company}");
-        }
-    }
 }
 
 /// Mirrors `golden_config()` in `tests/golden_extraction.rs` — the frozen
