@@ -1,12 +1,14 @@
 //! The GoalSpotter extraction server: loads (or trains) a transformer
 //! extractor and serves it over HTTP with dynamic micro-batching (see
-//! `gs-serve`).
+//! `gs-serve`): an idle worker runs a lone request at once, and requests
+//! that arrive while a forward runs share the next one, up to
+//! `--max-batch`.
 //!
 //! Usage:
-//!   cargo run --release -p gs-bench --bin gs_served --
+//!   cargo run --release -p gs-bench --bin gs-served --
 //!       [--model PATH | --train-tiny] [--save-model PATH] [--quantized]
-//!       [--addr HOST:PORT] [--max-batch N] [--max-delay-us N]
-//!       [--queue-cap N] [--workers N] [--deadline-ms N]
+//!       [--addr HOST:PORT] [--max-batch N] [--queue-cap N]
+//!       [--workers N] [--deadline-ms N]
 //!       [--size N] [--epochs N] [--store-dir PATH]
 //!
 //! With `--quantized` the encoder weights are quantized to int8 (per-row
@@ -99,7 +101,6 @@ fn main() {
         addr: args.get("addr").unwrap_or("127.0.0.1:8462").to_string(),
         batch: BatchConfig {
             max_batch: args.get_or("max-batch", 8),
-            max_delay: Duration::from_micros(args.get_or("max-delay-us", 2_000)),
             queue_capacity: args.get_or("queue-cap", 256),
             workers: args.get_or("workers", 1),
         },

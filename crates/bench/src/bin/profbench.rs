@@ -259,11 +259,7 @@ fn main() {
     let server = Server::start(
         Arc::new(TokenEngine { model }),
         ServerConfig {
-            batch: BatchConfig {
-                max_batch: 8,
-                max_delay: Duration::from_millis(1),
-                ..Default::default()
-            },
+            batch: BatchConfig { max_batch: 8, ..Default::default() },
             ..Default::default()
         },
     )

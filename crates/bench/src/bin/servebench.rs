@@ -24,7 +24,9 @@
 //! Writes `results/BENCH_serve.json` with throughput and client-side
 //! latency percentiles per (scheduling, client-count) cell; each cell is
 //! the median-throughput trial of `--trials` runs (single-box scheduling
-//! noise is several percent, so one trial is not trustworthy).
+//! noise is several percent, so one trial is not trustworthy). The gate,
+//! `microbatch_beats_unbatched`, holds only if micro-batching is faster
+//! at every client count (1, 4 and 16), the lone-client case included.
 
 use gs_bench::Args;
 use gs_core::Objective;
@@ -213,26 +215,26 @@ fn main() {
         (
             "unbatched",
             Arc::new(PerRequestEngine(Arc::clone(&extractor))),
-            BatchConfig { max_batch: 1, max_delay: Duration::ZERO, ..Default::default() },
+            BatchConfig { max_batch: 1, ..Default::default() },
         ),
         (
             "microbatch",
             Arc::new(PackedEngine(Arc::clone(&extractor))),
-            BatchConfig { max_batch: 8, max_delay: Duration::from_millis(1), ..Default::default() },
+            BatchConfig { max_batch: 8, ..Default::default() },
         ),
     ];
     if args.has("quantized") {
         schedules.push((
             "quantized",
             Arc::new(gs_pipeline::QuantizedEngine::from_extractor(&extractor)),
-            BatchConfig { max_batch: 8, max_delay: Duration::from_millis(1), ..Default::default() },
+            BatchConfig { max_batch: 8, ..Default::default() },
         ));
     }
+    const CLIENTS: [usize; 3] = [1, 4, 16];
     let mut cells = Vec::new();
     let mut schedule_stats = Vec::new();
-    let mut batched_16 = 0.0f64;
-    let mut unbatched_16 = 0.0f64;
-    let mut quantized_16 = 0.0f64;
+    // Median-trial throughput per (schedule, client count).
+    let mut throughput: Vec<(&str, usize, f64)> = Vec::new();
     // serve.batch.size accumulates across schedules; per-schedule means
     // come from deltas of its running (sum, count).
     let (mut batch_sum, mut batch_count) = (0.0f64, 0u64);
@@ -242,7 +244,7 @@ fn main() {
             ServerConfig { batch: batch.clone(), ..Default::default() },
         )
         .expect("server");
-        for clients in [1usize, 4, 16] {
+        for clients in CLIENTS {
             let result = run_cell(server.addr(), &texts, clients, requests, trials);
             let rps = result.throughput();
             println!(
@@ -252,13 +254,7 @@ fn main() {
                 rps,
                 quantile(&result.latencies, 0.95) * 1e3,
             );
-            if clients == 16 {
-                match *name {
-                    "unbatched" => unbatched_16 = rps,
-                    "quantized" => quantized_16 = rps,
-                    _ => batched_16 = rps,
-                }
-            }
+            throughput.push((name, clients, rps));
             cells.push(cell_json(name, clients, &result));
         }
         server.shutdown();
@@ -289,12 +285,7 @@ fn main() {
     let overload_server = Server::start(
         Arc::new(PackedEngine(Arc::clone(&extractor))),
         ServerConfig {
-            batch: BatchConfig {
-                max_batch: 1,
-                max_delay: Duration::ZERO,
-                queue_capacity: 2,
-                workers: 1,
-            },
+            batch: BatchConfig { max_batch: 1, queue_capacity: 2, workers: 1 },
             ..Default::default()
         },
     )
@@ -308,6 +299,19 @@ fn main() {
     );
     overload_server.shutdown();
 
+    let rps = |name: &str, clients: usize| {
+        throughput.iter().find(|t| t.0 == name && t.1 == clients).map_or(0.0, |t| t.2)
+    };
+    // The gate: micro-batching must beat unbatched serving at every client
+    // count, the lone-client case included.
+    let speedups: Vec<(usize, f64)> = CLIENTS
+        .iter()
+        .map(|&c| (c, rps("microbatch", c) / rps("unbatched", c).max(1e-9)))
+        .collect();
+    for &(clients, speedup) in &speedups {
+        let verdict = if speedup > 1.0 { "beats" } else { "LOSES TO" };
+        println!("microbatch {verdict} unbatched at {clients} clients: {speedup:.2}x");
+    }
     let mut summary_fields = vec![
         ("bench", Json::from("servebench")),
         ("corpus_size", Json::from(size)),
@@ -315,13 +319,23 @@ fn main() {
         ("trials_per_cell", Json::from(trials)),
         ("schedules", Json::Arr(schedule_stats)),
         ("cells", Json::Arr(cells)),
-        ("speedup_at_16_clients", Json::from(batched_16 / unbatched_16.max(1e-9))),
-        ("microbatch_beats_unbatched", Json::from(batched_16 > unbatched_16)),
+        (
+            "speedup_by_clients",
+            Json::Arr(
+                speedups
+                    .iter()
+                    .map(|&(c, x)| {
+                        Json::obj(vec![("clients", Json::from(c)), ("speedup", Json::from(x))])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("microbatch_beats_unbatched", Json::from(speedups.iter().all(|&(_, x)| x > 1.0))),
     ];
     if args.has("quantized") {
         summary_fields.push((
             "quantized_vs_f32_at_16_clients",
-            Json::from(quantized_16 / batched_16.max(1e-9)),
+            Json::from(rps("quantized", 16) / rps("microbatch", 16).max(1e-9)),
         ));
     }
     summary_fields.extend([(

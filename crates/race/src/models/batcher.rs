@@ -1,18 +1,17 @@
 //! Model of the serve batcher's worker-pull queue
 //! (`crates/serve/src/batcher.rs`): submitters push under a mutex and
-//! notify arrival; the worker parks while the queue is empty, lingers
-//! (timed wait) for a fuller batch when it is short, drains, and
-//! acknowledges; shutdown wakes the worker to drain and exit.
+//! notify arrival; the worker parks while the queue is empty, then drains
+//! up to a batch at once (work-conserving: it never waits for
+//! batch-mates) and acknowledges; shutdown wakes the worker, which drains
+//! whatever is still queued before it exits.
 //!
-//! The model is a ping-pong: the submitter waits for its item to be
-//! consumed before pushing the next one, which makes lost wakeups
-//! *deadlocks* instead of delays. The linger wait is a timed wait, which
-//! the scheduler may complete as a timeout at any legal point — both the
-//! "woken by arrival" and "timed out, drain partial batch" branches of the
-//! production worker loop get explored.
+//! The first submission is a ping-pong: the submitter waits for its item
+//! to be consumed before pushing the next one, which makes a lost wakeup a
+//! *deadlock* instead of a delay. The last submission is not waited for,
+//! so it races the shutdown signal: the worker may see the flag with that
+//! item still queued, and must drain it anyway.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::model::{explore, ExploreOpts, RawCell, Report};
 use crate::sync::{Condvar, Mutex};
@@ -20,24 +19,25 @@ use crate::sync::{Condvar, Mutex};
 /// Seeded bugs for the batcher model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Bug {
-    /// The worker's park loop is an `if` instead of a `while` around its
-    /// deadline wait: a timeout (or any wake that isn't an arrival) falls
-    /// through to an unconditional pop of an empty queue.
+    /// The worker's park is one `if`-guarded wait instead of a re-check
+    /// loop, and it trusts any wake to be an arrival: the shutdown
+    /// broadcast, which is not, falls through to a pop of an empty queue.
     IfInsteadOfWhile,
     /// The submitter notifies arrival *before* publishing the item (and
     /// outside the lock): the wakeup can land in the window where the
     /// worker has decided to wait but is not yet a waiter — a classic lost
     /// wakeup, surfacing as a deadlock.
     NotifyBeforePush,
-    /// The linger loop waits for a full batch without re-checking
-    /// shutdown (untimed): a final short batch parks the worker forever.
-    LingerIgnoresShutdown,
+    /// The worker returns as soon as it sees the shutdown flag instead of
+    /// once the queue is drained: a submission that raced the shutdown
+    /// signal is never answered.
+    ExitBeforeDrain,
 }
 
 impl Bug {
     /// All batcher bugs.
     pub const ALL: &'static [Bug] =
-        &[Bug::IfInsteadOfWhile, Bug::NotifyBeforePush, Bug::LingerIgnoresShutdown];
+        &[Bug::IfInsteadOfWhile, Bug::NotifyBeforePush, Bug::ExitBeforeDrain];
 }
 
 const ITEMS: u64 = 2;
@@ -62,48 +62,31 @@ fn worker_body(sh: &Shared, bug: Option<Bug>) {
     loop {
         let mut st = sh.state.lock();
         if bug == Some(Bug::IfInsteadOfWhile) {
-            // Seeded bug: the production park is a deadline wait in a
-            // re-check loop; one `if`-guarded wait lets a timeout fall
-            // through with nothing queued.
+            // Seeded bug: one wait, then a pop that assumes an arrival.
             if st.queue.is_empty() && !st.shutdown {
-                st = sh.arrived.wait_timeout(st, Duration::from_millis(1)).0;
+                st = sh.arrived.wait(st);
             }
-            let item = st.queue.pop().expect("woken with an empty queue");
-            let _ = item;
+            st.queue.pop().expect("woken with an empty queue");
             total += 1;
         } else {
             while st.queue.is_empty() && !st.shutdown {
                 st = sh.arrived.wait(st);
             }
-            if st.queue.is_empty() {
-                // Shutdown with nothing left.
-                sh.drained.write(total);
+            let exit = if bug == Some(Bug::ExitBeforeDrain) {
+                // Seeded bug: the flag alone ends the worker.
+                st.shutdown
+            } else {
+                // Shutting down and fully drained.
+                st.queue.is_empty()
+            };
+            if exit {
                 return;
             }
-            if bug == Some(Bug::LingerIgnoresShutdown) {
-                // Seeded bug: hold out for a full batch unconditionally.
-                while st.queue.len() < BATCH {
-                    st = sh.arrived.wait(st);
-                }
-            } else if st.queue.len() < BATCH && !st.shutdown {
-                // Linger for a fuller batch; the timeout is a schedulable
-                // event, so both branches are explored.
-                let (guard, _timed_out) = sh.arrived.wait_timeout(st, Duration::from_millis(1));
-                st = guard;
-            }
-            total += st.queue.drain(..).count() as u64;
+            let take = st.queue.len().min(BATCH);
+            total += st.queue.drain(..take).count() as u64;
         }
         sh.drained.write(total);
         sh.consumed.notify_all();
-        drop(st);
-        if total >= ITEMS {
-            // Keep looping only for the shutdown signal.
-            let mut st = sh.state.lock();
-            while !st.shutdown {
-                st = sh.arrived.wait(st);
-            }
-            return;
-        }
     }
 }
 
@@ -120,6 +103,10 @@ fn submitter_body(sh: &Shared, bug: Option<Bug>) {
             st.queue.push(item);
             drop(st);
             sh.arrived.notify_one();
+        }
+        if item + 1 == ITEMS {
+            // The last submission races the owner's shutdown signal.
+            break;
         }
         // Ping-pong: wait for the worker to consume before the next push,
         // so a lost wakeup is a deadlock rather than a delay.

@@ -27,7 +27,7 @@ pub enum AnyBug {
     Epoch(epoch::Bug),
     /// A pool fork-join bug.
     Pool(pool::Bug),
-    /// A batcher queue/linger bug.
+    /// A batcher queue/drain bug.
     Batcher(batcher::Bug),
     /// An arena pooling bug.
     Arena(arena::Bug),

@@ -18,10 +18,6 @@
 //! - a condvar wait releases the model mutex and parks as `WaitingCv`; a
 //!   notify marks waiters woken in FIFO order but they only run once
 //!   scheduled *and* the mutex is free;
-//! - a **timed** wait is additionally schedulable before any notify — the
-//!   scheduler may fire its timeout at any legal point, which is how
-//!   linger/deadline protocols get both their "woken by arrival" and
-//!   "timed out" branches explored;
 //! - join parks as `BlockedJoin` until the target finishes.
 //!
 //! If no thread is schedulable and some are unfinished, the execution
@@ -96,8 +92,6 @@ pub(crate) enum Status {
         cv: usize,
         /// Mutex to re-acquire on wake.
         mutex: usize,
-        /// Whether this is a timed wait (schedulable as a timeout).
-        timed: bool,
         /// Set by notify; the thread still re-acquires the mutex.
         woken: bool,
         /// FIFO order among waiters.
@@ -109,18 +103,11 @@ pub(crate) enum Status {
     Finished,
 }
 
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum WakeReason {
-    Notified,
-    TimedOut,
-}
-
 pub(crate) struct MThread {
     pub name: String,
     pub status: Status,
     /// The next event to record when this thread is granted.
     pub pending: Option<(String, Loc)>,
-    pub wake: WakeReason,
 }
 
 pub(crate) struct ExecInner {
@@ -238,7 +225,6 @@ impl Execution {
             name: name.to_string(),
             status: Status::Ready,
             pending: Some((first_op.to_string(), loc)),
-            wake: WakeReason::Notified,
         });
         tid
     }
@@ -350,18 +336,16 @@ pub(crate) fn model_mutex_unlock(ctx: &Ctx, addr: usize, loc: Loc, drop_guard: i
     });
 }
 
-/// Model condvar wait: releases the mutex, parks as a waiter, returns
-/// whether the wake was a timeout. The caller re-locks the std mutex.
+/// Model condvar wait: releases the mutex and parks as a waiter until a
+/// notify wakes it. The caller re-locks the std mutex.
 pub(crate) fn model_condvar_wait(
     ctx: &Ctx,
     cv_addr: usize,
     mutex_addr: usize,
-    timed: bool,
     loc: Loc,
     drop_guard: impl FnOnce(),
-) -> bool {
-    let desc = if timed { "condvar_wait_timeout" } else { "condvar_wait" };
-    ctx.exec.reschedule(ctx.tid, desc.to_string(), loc);
+) {
+    ctx.exec.reschedule(ctx.tid, "condvar_wait".to_string(), loc);
     drop_guard();
     ctx.exec.park(ctx.tid, |g| {
         g.mutex_owner.remove(&mutex_addr);
@@ -370,14 +354,13 @@ pub(crate) fn model_condvar_wait(
         g.wait_seq += 1;
         g.threads[ctx.tid].pending = Some(("condvar_wake".to_string(), loc));
         g.threads[ctx.tid].status =
-            Status::WaitingCv { cv: cv_addr, mutex: mutex_addr, timed, woken: false, seq };
+            Status::WaitingCv { cv: cv_addr, mutex: mutex_addr, woken: false, seq };
     });
     // Granted again: the controller guarantees the mutex is free.
     ctx.exec.with_inner(|g| {
         g.mutex_owner.insert(mutex_addr, ctx.tid);
         g.detector.lock_acquired(ctx.tid, mutex_addr);
-        matches!(g.threads[ctx.tid].wake, WakeReason::TimedOut)
-    })
+    });
 }
 
 /// Model condvar notify: marks waiters woken in FIFO order. A notify with
@@ -478,9 +461,7 @@ fn runnable_threads(g: &ExecInner) -> Vec<usize> {
             Status::Ready => true,
             Status::Running | Status::Finished => false,
             Status::BlockedMutex(m) => !g.mutex_owner.contains_key(m),
-            Status::WaitingCv { mutex, timed, woken, .. } => {
-                (*woken || *timed) && !g.mutex_owner.contains_key(mutex)
-            }
+            Status::WaitingCv { mutex, woken, .. } => *woken && !g.mutex_owner.contains_key(mutex),
             Status::BlockedJoin(c) => matches!(g.threads[*c].status, Status::Finished),
         };
         if ready {
@@ -498,8 +479,8 @@ fn blocked_summary(g: &ExecInner) -> Vec<String> {
         .map(|(tid, t)| {
             let state = match &t.status {
                 Status::BlockedMutex(_) => "blocked on mutex_lock".to_string(),
-                Status::WaitingCv { timed, woken, .. } => {
-                    format!("waiting on condvar (timed: {timed}, notified: {woken})")
+                Status::WaitingCv { woken, .. } => {
+                    format!("waiting on condvar (notified: {woken})")
                 }
                 Status::BlockedJoin(c) => format!("joining T{c}"),
                 other => format!("{other:?}"),
@@ -621,24 +602,11 @@ pub(crate) fn run_one(
         last = Some(chosen);
         depth += 1;
 
-        // Grant: set the wake reason for condvar waiters, record the
-        // thread's pending event, unpark it.
+        // Grant: record the thread's pending event, unpark it.
         let step = g.step;
         g.step += 1;
-        if let Status::WaitingCv { woken, .. } = g.threads[chosen].status {
-            g.threads[chosen].wake =
-                if woken { WakeReason::Notified } else { WakeReason::TimedOut };
-        }
         if let Some((desc, loc)) = g.threads[chosen].pending.take() {
             let thread = g.threads[chosen].name.clone();
-            let mut desc = desc;
-            if let Status::WaitingCv { woken, .. } = g.threads[chosen].status {
-                desc = if woken {
-                    format!("{desc} (notified)")
-                } else {
-                    format!("{desc} (timed out)")
-                };
-            }
             g.trace.push(Event { step, tid: chosen, thread, desc, loc });
         }
         g.threads[chosen].status = Status::Running;

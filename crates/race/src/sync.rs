@@ -18,24 +18,17 @@
 //! - otherwise the op goes straight to std (one relaxed load + one
 //!   thread-local check of overhead).
 //!
-//! Two deviations from `std::sync`, both deliberate:
-//!
-//! - [`Mutex::lock`] and the [`Condvar`] waits recover from poisoning
-//!   instead of returning `Result` — every call site in this workspace did
-//!   `unwrap_or_else(|e| e.into_inner())` anyway, and a poisoned lock still
-//!   guards memory-safe data;
-//! - [`Condvar::wait_timeout`] returns this crate's [`WaitTimeoutResult`]
-//!   (std's has no public constructor, and the model scheduler must be able
-//!   to fabricate timeouts: a timed wait is schedulable as a spurious
-//!   timeout at any legal point, which is how linger/deadline branches get
-//!   explored).
+//! One deliberate deviation from `std::sync`: [`Mutex::lock`] and
+//! [`Condvar::wait`] recover from poisoning instead of returning `Result`
+//! — every call site in this workspace did
+//! `unwrap_or_else(|e| e.into_inner())` anyway, and a poisoned lock still
+//! guards memory-safe data. `Condvar` offers no timed wait: no caller in
+//! the workspace needs one.
 //!
 //! [`Probe`] annotates a non-atomic publication (e.g. the `Arc<ShardView>`
 //! slot an epoch guards): pair `probe.write()` with the publish and
 //! `probe.read()` with the consume, and the detector checks the two are
 //! ordered by real synchronization.
-
-use std::time::Duration;
 
 pub use std::sync::atomic::Ordering;
 
@@ -427,23 +420,9 @@ impl<T> Drop for MutexGuard<'_, T> {
 // Condvar.
 // ---------------------------------------------------------------------------
 
-/// Result of [`Condvar::wait_timeout`]; this crate's own type so the model
-/// scheduler can fabricate timeouts (std's has no public constructor).
-#[derive(Clone, Copy, Debug)]
-pub struct WaitTimeoutResult {
-    timed: bool,
-}
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended by timeout rather than notification.
-    pub fn timed_out(&self) -> bool {
-        self.timed
-    }
-}
-
 /// Instrumentable condition variable. Under the model, waits and wakeups
-/// are modeled (FIFO notify, timeouts schedulable at any legal point), so
-/// lost-wakeup bugs surface as deterministic deadlocks.
+/// are modeled (FIFO notify), so lost-wakeup bugs surface as deterministic
+/// deadlocks.
 #[derive(Debug, Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
@@ -467,7 +446,7 @@ impl Condvar {
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         #[cfg(feature = "model")]
         {
-            self.wait_inner(guard, None).0
+            self.wait_inner(guard)
         }
         #[cfg(not(feature = "model"))]
         {
@@ -475,36 +454,9 @@ impl Condvar {
         }
     }
 
-    /// Waits until notified or `timeout` elapses. Under the model the
-    /// duration is ignored: the timeout is a nondeterministic event the
-    /// scheduler may fire at any point the mutex is free.
-    #[cfg_attr(feature = "model", track_caller)]
-    #[inline(always)]
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-        #[cfg(feature = "model")]
-        {
-            let (guard, timed) = self.wait_inner(guard, Some(timeout));
-            (guard, WaitTimeoutResult { timed })
-        }
-        #[cfg(not(feature = "model"))]
-        {
-            let (std, res) =
-                self.inner.wait_timeout(guard.0, timeout).unwrap_or_else(|e| e.into_inner());
-            (MutexGuard(std), WaitTimeoutResult { timed: res.timed_out() })
-        }
-    }
-
     #[cfg(feature = "model")]
     #[track_caller]
-    fn wait_inner<'a, T>(
-        &self,
-        mut guard: MutexGuard<'a, T>,
-        timeout: Option<Duration>,
-    ) -> (MutexGuard<'a, T>, bool) {
+    fn wait_inner<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let mx = guard.mx;
         let loc = guard.loc;
         let mode = guard.mode;
@@ -513,19 +465,10 @@ impl Condvar {
                 let ctx = sched::current().expect("model guard waited outside a model thread");
                 let mut std = guard.std.take();
                 drop(guard); // no-op: the std guard was taken out
-                             // The real duration is irrelevant under the model: the
-                             // timeout is a schedulable nondeterministic event.
-                let timed_out = sched::model_condvar_wait(
-                    &ctx,
-                    self.addr(),
-                    mx.addr(),
-                    timeout.is_some(),
-                    loc,
-                    || drop(std.take()),
-                );
+                sched::model_condvar_wait(&ctx, self.addr(), mx.addr(), loc, || drop(std.take()));
                 // Granted with model ownership restored: std lock is free.
                 let std = mx.lock_std();
-                (MutexGuard { std: Some(std), mx, mode, loc }, timed_out)
+                MutexGuard { std: Some(std), mx, mode, loc }
             }
             GuardMode::Live | GuardMode::Plain => {
                 if mode == GuardMode::Live {
@@ -534,18 +477,12 @@ impl Condvar {
                 }
                 let std = guard.std.take().expect("guard released by condvar wait");
                 drop(guard);
-                let (std, timed_out) = if let Some(timeout) = timeout {
-                    let (g, r) =
-                        self.inner.wait_timeout(std, timeout).unwrap_or_else(|e| e.into_inner());
-                    (g, r.timed_out())
-                } else {
-                    (self.inner.wait(std).unwrap_or_else(|e| e.into_inner()), false)
-                };
+                let std = self.inner.wait(std).unwrap_or_else(|e| e.into_inner());
                 if mode == GuardMode::Live {
                     let addr = mx.addr();
                     detect::with_global(|d, tid| d.lock_acquired(tid, addr));
                 }
-                (MutexGuard { std: Some(std), mx, mode, loc }, timed_out)
+                MutexGuard { std: Some(std), mx, mode, loc }
             }
         }
     }

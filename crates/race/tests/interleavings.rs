@@ -28,9 +28,14 @@ fn pool_clean_exhaustive() {
 }
 
 #[test]
-fn batcher_clean() {
+fn batcher_clean_exhaustive() {
     let report = batcher::run(None, opts());
     report.assert_ok();
+    assert!(
+        report.exhaustive,
+        "batcher model should exhaust within {} schedules",
+        report.schedules
+    );
     assert!(report.schedules > 10, "suspiciously few schedules: {}", report.schedules);
 }
 

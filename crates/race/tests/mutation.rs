@@ -28,7 +28,7 @@ fn expected(bug: &AnyBug) -> &'static [&'static str] {
         AnyBug::Pool(pool::Bug::NonAtomicClaim) => &["race", "panic"],
         AnyBug::Batcher(batcher::Bug::IfInsteadOfWhile) => &["panic"],
         AnyBug::Batcher(batcher::Bug::NotifyBeforePush) => &["deadlock"],
-        AnyBug::Batcher(batcher::Bug::LingerIgnoresShutdown) => &["deadlock"],
+        AnyBug::Batcher(batcher::Bug::ExitBeforeDrain) => &["panic"],
         AnyBug::Arena(arena::Bug::StatsOutsideLock) => &["race", "panic"],
         AnyBug::Arena(arena::Bug::TakeOutsideLock) => &["race", "panic"],
     }
@@ -98,14 +98,14 @@ fn race_reports_carry_both_sites() {
 
 #[test]
 fn deadlock_reports_name_blocked_threads() {
-    let report = batcher::run(Some(batcher::Bug::LingerIgnoresShutdown), opts());
-    let failure = report.failure.expect("LingerIgnoresShutdown must be caught");
+    let report = batcher::run(Some(batcher::Bug::NotifyBeforePush), opts());
+    let failure = report.failure.expect("NotifyBeforePush must be caught");
     let FailureKind::Deadlock(blocked) = &failure.kind else {
         panic!("expected a deadlock, got: {failure}");
     };
     assert!(
         blocked.iter().any(|line| line.contains("batch-worker")),
-        "deadlock report must name the lingering worker: {blocked:?}"
+        "deadlock report must name the parked worker: {blocked:?}"
     );
 }
 

@@ -1,21 +1,24 @@
 //! The dynamic micro-batcher: requests land in a bounded queue and worker
 //! threads pull from it directly, each draining up to `max_batch` items
-//! per pull (waiting at most `max_delay` past the head item's arrival for
-//! batch-mates) and running one batched extraction forward.
+//! per pull and running one batched extraction forward.
 //!
-//! Workers pulling straight from the queue — rather than a scheduler
-//! pushing into a worker channel — is what makes the batching *dynamic*:
-//! while every worker is busy, arrivals accumulate in the queue, so the
-//! next pull naturally drains a full batch; when a worker is idle, it
-//! takes whatever arrived within the linger window. Dispatch is coupled
-//! to worker availability, and an unbounded staging area between queue
-//! and workers (which would defeat both coalescing and the queue bound)
-//! never exists.
+//! Dispatch is work-conserving: an idle worker runs whatever is queued
+//! the moment anything is queued, and never waits for batch-mates. Batches
+//! still form, from the requests that arrive while the previous forward
+//! runs: with every worker busy, arrivals accumulate in the queue, so the
+//! next pull drains them together. A lone request therefore pays no
+//! scheduling delay, and coalescing grows exactly with load.
+//!
+//! Workers pull straight from the queue rather than a scheduler pushing
+//! into a worker channel, so dispatch is coupled to worker availability,
+//! and an unbounded staging area between queue and workers (which would
+//! defeat both coalescing and the queue bound) never exists.
 //!
 //! Robustness is part of the design: the queue sheds load when full
-//! (callers translate that into HTTP 503), every item carries a deadline
-//! that is re-checked at dispatch time, and shutdown drains in-flight
-//! work before returning.
+//! (callers translate that into HTTP 503), a submission larger than the
+//! whole queue is refused outright (HTTP 413), every item carries a
+//! deadline that is re-checked at dispatch time, and shutdown drains
+//! queued work before returning.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -51,6 +54,12 @@ pub trait ExtractEngine: Send + Sync + 'static {
 pub enum ShedReason {
     /// The bounded queue was full (backpressure; retry later).
     QueueFull,
+    /// The submission holds more texts than the whole queue; it can never
+    /// be admitted, so retrying it cannot help.
+    TooLarge {
+        /// The queue capacity the submission exceeds.
+        capacity: usize,
+    },
     /// The request's deadline expired before a worker got to it.
     DeadlineExceeded,
     /// The batcher is shutting down and no longer admits work.
@@ -77,9 +86,6 @@ pub struct ItemResult {
 pub struct BatchConfig {
     /// Largest micro-batch handed to the engine.
     pub max_batch: usize,
-    /// How long the scheduler waits for more items after the first one
-    /// arrives before dispatching a partial batch.
-    pub max_delay: Duration,
     /// Bound on queued items; submissions beyond it are shed.
     pub queue_capacity: usize,
     /// Worker threads running engine forwards.
@@ -88,12 +94,7 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            max_batch: 8,
-            max_delay: Duration::from_millis(2),
-            queue_capacity: 256,
-            workers: 1,
-        }
+        BatchConfig { max_batch: 8, queue_capacity: 256, workers: 1 }
     }
 }
 
@@ -173,27 +174,22 @@ impl Batcher {
         self.shared.depth.load(Ordering::Relaxed) as usize
     }
 
-    /// Submits `texts` as one admission unit: either every text is
-    /// enqueued or none is (so a batch request cannot be half-shed by the
-    /// queue bound). Results arrive on the returned receiver in arbitrary
-    /// order, tagged with their submission index.
+    /// Submits `texts` as one admission unit under the request trace id
+    /// `trace`: either every text is enqueued or none is (so a batch
+    /// request cannot be half-shed by the queue bound). The id travels with
+    /// every queued item, so a batch dispatch can be tied back to the
+    /// requests it served. Results arrive on the returned receiver in
+    /// arbitrary order, tagged with their submission index.
     pub fn submit(
-        &self,
-        texts: Vec<String>,
-        deadline: Instant,
-    ) -> Result<Receiver<ItemResult>, ShedReason> {
-        self.submit_traced(texts, deadline, &crate::trace::mint_trace_id())
-    }
-
-    /// [`submit`](Self::submit) under an existing request trace id; the id
-    /// travels with every queued item, so a batch dispatch can be tied
-    /// back to the requests it served.
-    pub fn submit_traced(
         &self,
         texts: Vec<String>,
         deadline: Instant,
         trace: &str,
     ) -> Result<Receiver<ItemResult>, ShedReason> {
+        let capacity = self.config.queue_capacity;
+        if texts.len() > capacity {
+            return Err(ShedReason::TooLarge { capacity });
+        }
         let (tx, rx) = channel();
         let now = Instant::now();
         if now >= deadline {
@@ -205,7 +201,7 @@ impl Batcher {
             if state.shutting_down {
                 return Err(ShedReason::ShuttingDown);
             }
-            if state.queue.len() + texts.len() > self.config.queue_capacity {
+            if state.queue.len() + texts.len() > capacity {
                 gs_obs::counter("serve.shed.queue_full", texts.len() as u64);
                 return Err(ShedReason::QueueFull);
             }
@@ -253,11 +249,11 @@ impl Drop for Batcher {
     }
 }
 
-/// Worker: pulls a batch straight off the shared queue (waiting for the
-/// first item, then lingering up to `max_delay` past its arrival for
-/// batch-mates), drops items whose deadline already passed, runs one
-/// engine forward over the survivors, and replies per item. On shutdown,
-/// keeps pulling until the queue is drained, then exits.
+/// Worker: parks until anything is queued, then at once pulls up to
+/// `max_batch` items (a lone item dispatches alone), drops items
+/// whose deadline already passed, runs one engine forward over the
+/// survivors, and replies per item. On shutdown, keeps pulling until the
+/// queue is drained, then exits.
 fn worker_loop(shared: &Shared, config: &BatchConfig, engine: &dyn ExtractEngine) {
     loop {
         let mut state = shared.state.lock();
@@ -267,35 +263,6 @@ fn worker_loop(shared: &Shared, config: &BatchConfig, engine: &dyn ExtractEngine
         if state.queue.is_empty() {
             return; // shutting down and fully drained
         }
-
-        // Linger for batch-mates, measured from the head item's arrival:
-        // a worker that was busy while the queue built up dispatches
-        // immediately, an idle worker waits out the window. Skipped when
-        // the batch is already full or we are draining for shutdown.
-        //
-        // The deadline uses `checked_add`: a huge configured `max_delay`
-        // (up to `Duration::MAX`, meaning "always wait for a full batch")
-        // must not panic on `Instant` overflow. An unrepresentable
-        // deadline degrades to an untimed wait, which a full batch or
-        // shutdown still interrupts.
-        let fill_deadline = state.queue[0].enqueued.checked_add(config.max_delay);
-        while state.queue.len() < config.max_batch && !state.shutting_down {
-            match fill_deadline {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (next, timeout) = shared.arrived.wait_timeout(state, deadline - now);
-                    state = next;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-                None => state = shared.arrived.wait(state),
-            }
-        }
-
         let take = state.queue.len().min(config.max_batch);
         let batch: Vec<Job> = state.queue.drain(..take).collect();
         // ordering: Relaxed — see queue_depth(): statistics mirror only.
@@ -415,6 +382,8 @@ mod tests {
         }
     }
 
+    const TRACE: &str = "unit-test";
+
     fn far_deadline() -> Instant {
         Instant::now() + Duration::from_secs(30)
     }
@@ -423,7 +392,7 @@ mod tests {
     fn single_item_roundtrips() {
         let engine = Arc::new(EchoEngine::new(Duration::ZERO));
         let batcher = Batcher::start(engine, BatchConfig::default());
-        let rx = batcher.submit(vec!["hello".into()], far_deadline()).unwrap();
+        let rx = batcher.submit(vec!["hello".into()], far_deadline(), TRACE).unwrap();
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(result.index, 0);
         let extraction = result.outcome.unwrap();
@@ -437,7 +406,7 @@ mod tests {
         let engine = Arc::new(EchoEngine::new(Duration::ZERO));
         let batcher = Batcher::start(engine, BatchConfig::default());
         let texts: Vec<String> = (0..5).map(|i| format!("t{i}")).collect();
-        let rx = batcher.submit(texts, far_deadline()).unwrap();
+        let rx = batcher.submit(texts, far_deadline(), TRACE).unwrap();
         let mut results: Vec<ItemResult> = Vec::new();
         for _ in 0..5 {
             results.push(rx.recv_timeout(Duration::from_secs(5)).unwrap());
@@ -460,17 +429,14 @@ mod tests {
         let engine = Arc::new(EchoEngine::new(Duration::from_millis(30)));
         let batcher = Arc::new(Batcher::start(
             Arc::clone(&engine) as Arc<dyn ExtractEngine>,
-            BatchConfig {
-                max_batch: 16,
-                max_delay: Duration::from_millis(1),
-                ..Default::default()
-            },
+            BatchConfig { max_batch: 16, ..Default::default() },
         ));
         std::thread::scope(|scope| {
             for i in 0..12 {
                 let batcher = Arc::clone(&batcher);
                 scope.spawn(move || {
-                    let rx = batcher.submit(vec![format!("req{i}")], far_deadline()).unwrap();
+                    let rx =
+                        batcher.submit(vec![format!("req{i}")], far_deadline(), TRACE).unwrap();
                     let result = rx.recv_timeout(Duration::from_secs(10)).unwrap();
                     assert!(result.outcome.is_ok());
                 });
@@ -490,21 +456,28 @@ mod tests {
     fn queue_bound_sheds_load() {
         // One slow batch occupies the worker; capacity 2 then fills.
         let engine = Arc::new(EchoEngine::new(Duration::from_millis(100)));
-        let batcher = Batcher::start(
-            engine,
-            BatchConfig { max_batch: 1, max_delay: Duration::ZERO, queue_capacity: 2, workers: 1 },
-        );
-        let first = batcher.submit(vec!["a".into()], far_deadline()).unwrap();
+        let batcher =
+            Batcher::start(engine, BatchConfig { max_batch: 1, queue_capacity: 2, workers: 1 });
+        let first = batcher.submit(vec!["a".into()], far_deadline(), TRACE).unwrap();
         // Give the scheduler a moment to hand "a" to the (now busy) worker.
         std::thread::sleep(Duration::from_millis(20));
-        let _second = batcher.submit(vec!["b".into()], far_deadline()).unwrap();
-        let _third = batcher.submit(vec!["c".into()], far_deadline()).unwrap();
+        let _second = batcher.submit(vec!["b".into()], far_deadline(), TRACE).unwrap();
+        // One slot is free. Admission is all-or-none: two texts fit the
+        // capacity but not the free space, so neither is enqueued.
+        let bulk = batcher.submit(vec!["x".into(); 2], far_deadline(), TRACE);
+        assert!(matches!(bulk, Err(ShedReason::QueueFull)), "got {bulk:?}");
+        assert_eq!(batcher.queue_depth(), 1);
+        let _third = batcher.submit(vec!["c".into()], far_deadline(), TRACE).unwrap();
         // Queue now holds b and c; the next submission must shed.
-        let shed = batcher.submit(vec!["d".into()], far_deadline());
+        let shed = batcher.submit(vec!["d".into()], far_deadline(), TRACE);
         assert!(matches!(shed, Err(ShedReason::QueueFull)), "got {shed:?}");
-        // Oversized atomic submissions shed as a unit.
-        let bulk = batcher.submit(vec!["x".into(); 3], far_deadline());
-        assert!(matches!(bulk, Err(ShedReason::QueueFull)));
+        // More texts than the whole queue holds can never be admitted:
+        // refused as too large, not as a retryable full queue.
+        let oversized = batcher.submit(vec!["x".into(); 3], far_deadline(), TRACE);
+        assert!(
+            matches!(oversized, Err(ShedReason::TooLarge { capacity: 2 })),
+            "got {oversized:?}"
+        );
         assert!(first.recv_timeout(Duration::from_secs(5)).unwrap().outcome.is_ok());
         batcher.shutdown();
     }
@@ -512,21 +485,18 @@ mod tests {
     #[test]
     fn expired_deadlines_are_rejected_or_dropped() {
         let engine = Arc::new(EchoEngine::new(Duration::from_millis(50)));
-        let batcher = Batcher::start(
-            engine,
-            BatchConfig { max_batch: 1, max_delay: Duration::ZERO, ..Default::default() },
-        );
+        let batcher = Batcher::start(engine, BatchConfig { max_batch: 1, ..Default::default() });
         // Already-expired deadline: rejected at admission.
         let past = Instant::now() - Duration::from_millis(1);
         assert!(matches!(
-            batcher.submit(vec!["late".into()], past),
+            batcher.submit(vec!["late".into()], past, TRACE),
             Err(ShedReason::DeadlineExceeded)
         ));
         // Tight deadline behind a slow batch: dropped at dispatch.
-        let _busy = batcher.submit(vec!["slow".into()], far_deadline()).unwrap();
+        let _busy = batcher.submit(vec!["slow".into()], far_deadline(), TRACE).unwrap();
         std::thread::sleep(Duration::from_millis(5));
         let rx = batcher
-            .submit(vec!["urgent".into()], Instant::now() + Duration::from_millis(10))
+            .submit(vec!["urgent".into()], Instant::now() + Duration::from_millis(10), TRACE)
             .unwrap();
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(result.outcome, Err(ShedReason::DeadlineExceeded)), "{result:?}");
@@ -536,12 +506,9 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_work() {
         let engine = Arc::new(EchoEngine::new(Duration::from_millis(10)));
-        let batcher = Batcher::start(
-            engine,
-            BatchConfig { max_batch: 2, max_delay: Duration::from_millis(1), ..Default::default() },
-        );
+        let batcher = Batcher::start(engine, BatchConfig { max_batch: 2, ..Default::default() });
         let receivers: Vec<_> = (0..6)
-            .map(|i| batcher.submit(vec![format!("q{i}")], far_deadline()).unwrap())
+            .map(|i| batcher.submit(vec![format!("q{i}")], far_deadline(), TRACE).unwrap())
             .collect();
         batcher.shutdown();
         // Every queued item was answered (not dropped) during the drain.
@@ -557,7 +524,7 @@ mod tests {
         let batcher = Batcher::start(engine, BatchConfig::default());
         batcher.begin_shutdown();
         assert!(matches!(
-            batcher.submit(vec!["x".into()], far_deadline()),
+            batcher.submit(vec!["x".into()], far_deadline(), TRACE),
             Err(ShedReason::ShuttingDown)
         ));
         batcher.shutdown();
@@ -568,35 +535,14 @@ mod tests {
         let engine = Arc::new(EchoEngine::new(Duration::from_millis(5)));
         let batcher = Batcher::start(
             Arc::clone(&engine) as Arc<dyn ExtractEngine>,
-            BatchConfig { max_batch: 3, max_delay: Duration::from_millis(1), ..Default::default() },
+            BatchConfig { max_batch: 3, ..Default::default() },
         );
-        let rx = batcher.submit(vec!["a".into(); 10], far_deadline()).unwrap();
+        let rx = batcher.submit(vec!["a".into(); 10], far_deadline(), TRACE).unwrap();
         for _ in 0..10 {
             let r = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert!(r.batch_size <= 3, "batch of {}", r.batch_size);
         }
         assert!(engine.batches.lock().iter().all(|&b| b <= 3));
         batcher.shutdown();
-    }
-
-    #[test]
-    fn huge_max_delay_neither_panics_nor_wedges() {
-        // `Duration::MAX` as the linger window means "always wait for a
-        // full batch". The fill deadline `enqueued + max_delay` must not
-        // panic on Instant overflow; it degrades to an untimed wait.
-        let engine = Arc::new(EchoEngine::new(Duration::ZERO));
-        let batcher = Batcher::start(
-            engine,
-            BatchConfig { max_batch: 2, max_delay: Duration::MAX, ..Default::default() },
-        );
-        // A full batch dispatches without ever consulting the deadline.
-        let rx = batcher.submit(vec!["a".into(), "b".into()], far_deadline()).unwrap();
-        for _ in 0..2 {
-            assert!(rx.recv_timeout(Duration::from_secs(5)).unwrap().outcome.is_ok());
-        }
-        // A partial batch lingers untimed but must still drain on shutdown.
-        let rx = batcher.submit(vec!["c".into()], far_deadline()).unwrap();
-        batcher.shutdown();
-        assert!(rx.recv_timeout(Duration::from_secs(5)).unwrap().outcome.is_ok());
     }
 }

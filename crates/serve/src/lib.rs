@@ -6,11 +6,12 @@
 //!
 //! The paper deploys the weakly supervised extractor inside a live system
 //! that fills a structured database on demand; this crate is that serving
-//! layer. Requests to `POST /v1/extract` land in a bounded queue, a
-//! scheduler coalesces them into micro-batches (up to `max_batch` items,
-//! waiting at most `max_delay` once the first item arrives), and a worker
-//! pool runs one batched model forward per batch — amortizing encoder
-//! costs across concurrent callers.
+//! layer. Requests to `POST /v1/extract` land in a bounded queue, and a
+//! worker pool pulls them in micro-batches of up to `max_batch` items,
+//! running one batched model forward per batch — amortizing encoder costs
+//! across concurrent callers. Dispatch is work-conserving: an idle worker
+//! takes whatever is queued at once, so batches form only from requests
+//! that arrive while a forward is running, and a lone request never waits.
 //!
 //! ## Endpoints
 //!
@@ -39,7 +40,9 @@
 //! ## Robustness semantics
 //!
 //! - **Load shedding:** when the bounded queue is full, requests get HTTP
-//!   503 with `Retry-After` instead of unbounded queueing latency.
+//!   503 with `Retry-After` instead of unbounded queueing latency. A
+//!   batch with more texts than the whole queue holds could never be
+//!   admitted, so it gets 413 naming the limit, with no `Retry-After`.
 //! - **Deadlines:** every request carries a budget (`deadline_ms` or the
 //!   server default); items whose deadline passes while queued are
 //!   dropped at dispatch and answered with 504.

@@ -134,6 +134,12 @@ impl Server {
         self.shared.recorder.len()
     }
 
+    /// Number of open client connections, each served by its own handler
+    /// thread.
+    pub fn active_connections(&self) -> usize {
+        self.shared.active_connections.load(Ordering::SeqCst)
+    }
+
     /// Stops accepting connections, drains queued and in-flight batches,
     /// and joins the server threads.
     pub fn shutdown(mut self) {
@@ -325,6 +331,11 @@ fn shed_response(reason: ShedReason) -> Response {
     match reason {
         ShedReason::QueueFull => error_response(Status::ServiceUnavailable, "queue full")
             .with_header("retry-after", "1".to_string()),
+        // No Retry-After: the same request can never fit.
+        ShedReason::TooLarge { capacity } => error_response(
+            Status::PayloadTooLarge,
+            &format!("more texts than the queue capacity of {capacity}; split the request"),
+        ),
         ShedReason::ShuttingDown => error_response(Status::ServiceUnavailable, "shutting down")
             .with_header("retry-after", "2".to_string()),
         ShedReason::DeadlineExceeded => error_response(Status::GatewayTimeout, "deadline exceeded"),
@@ -557,7 +568,7 @@ fn extract_single(request: &Request, shared: &ServerShared) -> Response {
     };
     let budget = deadline_budget.unwrap_or(shared.config.default_deadline);
     let deadline = Instant::now() + budget;
-    let receiver = match shared.batcher.submit_traced(vec![text.to_string()], deadline, &trace_id) {
+    let receiver = match shared.batcher.submit(vec![text.to_string()], deadline, &trace_id) {
         Ok(receiver) => receiver,
         Err(reason) => return finish(shed_response(reason), None),
     };
@@ -623,7 +634,7 @@ fn extract_batch(request: &Request, shared: &ServerShared) -> Response {
     };
     let budget = deadline_budget.unwrap_or(shared.config.default_deadline);
     let deadline = Instant::now() + budget;
-    let receiver = match shared.batcher.submit_traced(texts, deadline, &trace_id) {
+    let receiver = match shared.batcher.submit(texts, deadline, &trace_id) {
         Ok(receiver) => receiver,
         Err(reason) => return finish(shed_response(reason), None),
     };

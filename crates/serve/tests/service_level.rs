@@ -1,12 +1,24 @@
 //! Service-level tests against a live `gs-serve` server with a fake
 //! engine: endpoint contracts, concurrent batching, backpressure (503 +
-//! Retry-After), deadlines (504), admission control, and graceful drain.
+//! Retry-After, or 413 for a batch no queue state could admit), deadlines
+//! (504), admission control, client disconnects, and graceful drain.
 //! These run with no model so the serving layer is tested in isolation.
 
 use gs_serve::{BatchConfig, Client, ExtractEngine, Extraction, Json, Server, ServerConfig};
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// Serializes the tests that install the process-global gs-obs collector
+/// and read counters from it against the tests that move those counters.
+static TELEMETRY: Mutex<()> = Mutex::new(());
+
+fn telemetry_lock() -> MutexGuard<'static, ()> {
+    TELEMETRY.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Deterministic fake: "extracts" the uppercased text, recording batches.
 struct FakeEngine {
@@ -27,6 +39,29 @@ impl ExtractEngine for FakeEngine {
         self.batch_sizes.lock().unwrap().push(texts.len());
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
+        }
+        texts
+            .iter()
+            .map(|t| Extraction { fields: vec![("Upper".to_string(), t.to_uppercase())] })
+            .collect()
+    }
+}
+
+/// Holds its first forward until the test releases it, so requests can be
+/// lined up behind a running batch without sleeping; later forwards run at
+/// once.
+struct GatedEngine {
+    gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+    batch_sizes: Mutex<Vec<usize>>,
+}
+
+impl ExtractEngine for GatedEngine {
+    fn extract_batch(&self, texts: &[String]) -> Vec<Extraction> {
+        self.batch_sizes.lock().unwrap().push(texts.len());
+        let gate = self.gate.lock().unwrap().take();
+        if let Some((entered, release)) = gate {
+            entered.send(()).unwrap();
+            release.recv().unwrap();
         }
         texts
             .iter()
@@ -138,10 +173,7 @@ fn empty_batch_is_ok_and_empty() {
 #[test]
 fn concurrent_requests_coalesce_into_micro_batches() {
     let engine = Arc::new(FakeEngine::new(Duration::from_millis(25)));
-    let server = start(
-        Arc::clone(&engine),
-        BatchConfig { max_batch: 16, max_delay: Duration::from_millis(2), ..Default::default() },
-    );
+    let server = start(Arc::clone(&engine), BatchConfig { max_batch: 16, ..Default::default() });
     let addr = server.addr();
     std::thread::scope(|scope| {
         for i in 0..12 {
@@ -161,13 +193,12 @@ fn concurrent_requests_coalesce_into_micro_batches() {
 
 #[test]
 fn full_queue_sheds_with_503_and_retry_after() {
+    let _serial = telemetry_lock();
     // Slow engine + tiny queue: flood and expect a mix of 200s and 503s,
     // with every 503 carrying Retry-After and arriving fast.
     let engine = Arc::new(FakeEngine::new(Duration::from_millis(40)));
-    let server = start(
-        Arc::clone(&engine),
-        BatchConfig { max_batch: 1, max_delay: Duration::ZERO, queue_capacity: 2, workers: 1 },
-    );
+    let server =
+        start(Arc::clone(&engine), BatchConfig { max_batch: 1, queue_capacity: 2, workers: 1 });
     let addr = server.addr();
     let shed = Arc::new(AtomicUsize::new(0));
     let served = Arc::new(AtomicUsize::new(0));
@@ -206,10 +237,7 @@ fn full_queue_sheds_with_503_and_retry_after() {
 #[test]
 fn tight_deadline_times_out_with_504() {
     let engine = Arc::new(FakeEngine::new(Duration::from_millis(80)));
-    let server = start(
-        Arc::clone(&engine),
-        BatchConfig { max_batch: 1, max_delay: Duration::ZERO, ..Default::default() },
-    );
+    let server = start(Arc::clone(&engine), BatchConfig { max_batch: 1, ..Default::default() });
     let addr = server.addr();
     // Occupy the single worker...
     let busy = std::thread::spawn(move || {
@@ -228,10 +256,7 @@ fn tight_deadline_times_out_with_504() {
 #[test]
 fn graceful_shutdown_drains_inflight_work() {
     let engine = Arc::new(FakeEngine::new(Duration::from_millis(30)));
-    let server = start(
-        Arc::clone(&engine),
-        BatchConfig { max_batch: 2, max_delay: Duration::from_millis(1), ..Default::default() },
-    );
+    let server = start(Arc::clone(&engine), BatchConfig { max_batch: 2, ..Default::default() });
     let addr = server.addr();
     let workers: Vec<_> = (0..4)
         .map(|i| {
@@ -250,4 +275,109 @@ fn graceful_shutdown_drains_inflight_work() {
         // an orderly 503, never a dropped connection.
         assert!(status == 200 || status == 503, "got {status}");
     }
+}
+
+#[test]
+fn batch_larger_than_the_queue_gets_413_without_retry_after() {
+    let _serial = telemetry_lock();
+    gs_obs::install(gs_obs::Collector::new());
+    let engine = Arc::new(FakeEngine::new(Duration::ZERO));
+    let server =
+        start(Arc::clone(&engine), BatchConfig { queue_capacity: 2, ..Default::default() });
+    let mut c = client(&server);
+    // Idle server, three texts against a two-slot queue: no retry can ever
+    // be admitted, so the answer is a client error naming the limit.
+    for _ in 0..3 {
+        let resp = c.post_json("/v1/extract_batch", r#"{"texts": ["a", "b", "c"]}"#).unwrap();
+        assert_eq!(resp.status, 413, "body: {}", resp.body);
+        assert_eq!(resp.header("retry-after"), None, "413 must not invite a retry");
+        assert!(resp.body.contains("queue capacity of 2"), "body: {}", resp.body);
+    }
+    assert_eq!(engine.calls.load(Ordering::Relaxed), 0, "an oversized batch reached the engine");
+    // A batch that fits the queue is served on the same connection.
+    let resp = c.post_json("/v1/extract_batch", r#"{"texts": ["a", "b"]}"#).unwrap();
+    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    drop(c);
+    let snapshot = gs_obs::snapshot().expect("collector installed");
+    gs_obs::uninstall();
+    assert_eq!(snapshot.counter("serve.responses.413"), 3);
+    assert_eq!(snapshot.counter("serve.shed.queue_full"), 0, "a 413 counted as a full queue");
+    server.shutdown();
+}
+
+/// One `/v1/extract` request as raw bytes, for a client that hangs up
+/// without reading its answer.
+fn raw_extract(addr: SocketAddr, text: &str) -> TcpStream {
+    let body = format!(r#"{{"text": "{text}"}}"#);
+    let request = format!(
+        "POST /v1/extract HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(request.as_bytes()).expect("write request");
+    stream
+}
+
+/// Polls `probe` until it holds, failing the test after ten seconds.
+fn wait_for(what: &str, mut probe: impl FnMut() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while !probe() {
+        assert!(Instant::now() < give_up, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn client_disconnect_mid_batch_does_not_fail_or_delay_its_batch_mates() {
+    let _serial = telemetry_lock();
+    gs_obs::install(gs_obs::Collector::new());
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
+    let engine = Arc::new(GatedEngine {
+        gate: Mutex::new(Some((entered_tx, release_rx))),
+        batch_sizes: Mutex::new(Vec::new()),
+    });
+    // A long read timeout, so only a client hang-up can close a connection
+    // within the test's bounds.
+    let config = ServerConfig {
+        batch: BatchConfig { max_batch: 8, workers: 1, ..Default::default() },
+        read_timeout: Duration::from_secs(60),
+        ..Default::default()
+    };
+    let server = Server::start(Arc::clone(&engine) as Arc<dyn ExtractEngine>, config).unwrap();
+    let addr = server.addr();
+    let post = move |text: &str| {
+        let mut c = Client::connect(addr, Duration::from_secs(10)).unwrap();
+        c.post_json("/v1/extract", &format!(r#"{{"text": "{text}"}}"#)).unwrap()
+    };
+
+    // A's forward starts and is held in the engine.
+    let a = std::thread::spawn(move || post("a"));
+    entered.recv_timeout(Duration::from_secs(10)).expect("first forward never started");
+    // B and C queue behind it; B's client will hang up before its batch.
+    let b = raw_extract(addr, "b");
+    let c = std::thread::spawn(move || post("c"));
+    let mut probe = client(&server);
+    wait_for("B and C to be queued", || {
+        let health = gs_serve::json::parse(&probe.get("/healthz").unwrap().body).unwrap();
+        health.get("queue_depth").and_then(Json::as_u64) == Some(2)
+    });
+    drop(probe);
+    drop(b);
+    release.send(()).unwrap();
+
+    assert_eq!(a.join().unwrap().status, 200);
+    let c = c.join().unwrap();
+    assert_eq!(c.status, 200, "body: {}", c.body);
+    let v = gs_serve::json::parse(&c.body).unwrap();
+    assert_eq!(v.get("batch_size").and_then(Json::as_u64), Some(2), "C lost its batch-mate");
+    assert_eq!(*engine.batch_sizes.lock().unwrap(), vec![1, 2]);
+    // The service is unharmed: the next request is answered.
+    assert_eq!(post("d").status, 200);
+    wait_for("every connection to close", || server.active_connections() == 0);
+    let snapshot = gs_obs::snapshot().expect("collector installed");
+    gs_obs::uninstall();
+    assert_eq!(snapshot.counter("serve.responses.500"), 0);
+    server.shutdown();
 }

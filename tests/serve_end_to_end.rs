@@ -71,11 +71,7 @@ fn concurrent_clients_receive_exact_model_outputs() {
     let server = Server::start(
         engine.clone(),
         ServerConfig {
-            batch: BatchConfig {
-                max_batch: 8,
-                max_delay: Duration::from_millis(2),
-                ..Default::default()
-            },
+            batch: BatchConfig { max_batch: 8, ..Default::default() },
             ..Default::default()
         },
     )
@@ -128,12 +124,7 @@ fn tiny_queue_sheds_excess_load_and_recovers() {
     let server = Server::start(
         engine.clone(),
         ServerConfig {
-            batch: BatchConfig {
-                max_batch: 1,
-                max_delay: Duration::ZERO,
-                queue_capacity: 2,
-                workers: 1,
-            },
+            batch: BatchConfig { max_batch: 1, queue_capacity: 2, workers: 1 },
             ..Default::default()
         },
     )
@@ -142,13 +133,14 @@ fn tiny_queue_sheds_excess_load_and_recovers() {
     let texts = sample_texts(4);
 
     // Admission is all-or-none: a batch larger than the whole queue can
-    // never be admitted and must be shed immediately with Retry-After.
+    // never be admitted, so it is refused at once as too large, with no
+    // Retry-After inviting a retry that could never succeed.
     let mut client = Client::connect(addr, Duration::from_secs(10)).expect("connect");
     let array = Json::Arr(texts.iter().map(|t| Json::from(t.as_str())).collect());
     let body = Json::obj(vec![("texts", array)]).to_string();
     let resp = client.post_json("/v1/extract_batch", &body).expect("oversized batch");
-    assert_eq!(resp.status, 503, "body: {}", resp.body);
-    assert_eq!(resp.header("retry-after"), Some("1"));
+    assert_eq!(resp.status, 413, "body: {}", resp.body);
+    assert_eq!(resp.header("retry-after"), None);
 
     // A concurrent flood gets a mix of successes and fast 503s — never
     // hangs, never errors at the transport level.
@@ -405,11 +397,7 @@ fn threaded_pool_serving_matches_the_serial_path_exactly() {
     let server = Server::start(
         engine.clone(),
         ServerConfig {
-            batch: BatchConfig {
-                max_batch: 6,
-                max_delay: Duration::from_millis(2),
-                ..Default::default()
-            },
+            batch: BatchConfig { max_batch: 6, ..Default::default() },
             ..Default::default()
         },
     )
