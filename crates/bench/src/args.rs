@@ -46,6 +46,22 @@ impl Args {
         self.values.get(name).map(String::as_str)
     }
 
+    /// Checks that every flag passed, switch or value, is one of `known`;
+    /// the error names each one that is not, so a binary can refuse a
+    /// typo instead of silently running without it.
+    pub fn check_known(&self, known: &[&str]) -> Result<(), String> {
+        let mut unknown: Vec<&str> = (self.values.keys().chain(&self.switches))
+            .map(String::as_str)
+            .filter(|name| !known.contains(name))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        let names: Vec<String> = unknown.iter().map(|name| format!("--{name}")).collect();
+        Err(format!("unknown flag(s): {}", names.join(", ")))
+    }
+
     /// A parsed value with default.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         match self.get(name) {
@@ -76,6 +92,17 @@ mod tests {
     fn missing_values_use_defaults() {
         let a = args("");
         assert_eq!(a.get_or("runs", 3usize), 3);
+    }
+
+    #[test]
+    fn check_known_names_every_unknown_switch_and_value() {
+        let known = ["store-dir", "no-obs"];
+        assert_eq!(args("--store-dir /tmp/s --no-obs").check_known(&known), Ok(()));
+        assert_eq!(args("").check_known(&known), Ok(()));
+        assert_eq!(
+            args("--verbose --store-dr /tmp/s --no-obs").check_known(&known),
+            Err("unknown flag(s): --store-dr, --verbose".to_string())
+        );
     }
 
     #[test]

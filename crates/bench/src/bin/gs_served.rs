@@ -6,15 +6,14 @@
 //!
 //! Usage:
 //!   cargo run --release -p gs-bench --bin gs-served --
-//!       [--model PATH | --train-tiny] [--save-model PATH] [--quantized]
+//!       [--model PATH | --train-tiny] [--save-model PATH]
 //!       [--addr HOST:PORT] [--max-batch N] [--queue-cap N]
 //!       [--workers N] [--deadline-ms N]
 //!       [--size N] [--epochs N] [--store-dir PATH]
 //!
-//! With `--quantized` the encoder weights are quantized to int8 (per-row
-//! scales, f32 accumulation) after loading/training and the service runs
-//! the quantized forward; spans match the f32 path on the golden
-//! accuracy-tolerance suite.
+//! Any other flag, apart from the shared telemetry ones (`--no-obs`,
+//! `--obs-jsonl PATH`, `--no-obs-report`, `--sanitize`), is refused with a
+//! non-zero exit that names it.
 //!
 //! With `--model PATH` the extractor is restored from a
 //! `TransformerExtractor::save_text` checkpoint (`--save-model` writes one); with `--train-tiny` (the
@@ -27,7 +26,7 @@
 //! records. Re-starting against the same directory replays the logs.
 //! The store also enables `POST /v1/ingest` — a quickly-trained linear
 //! detector (synthetic objectives vs boilerplate + indicator-name noise)
-//! pairs with the f32 extractor so whole reports flow through
+//! pairs with the extractor so whole reports flow through
 //! parse → detect → extract → store with section provenance.
 //!
 //! The server prints `listening on http://ADDR` once ready and serves until
@@ -43,7 +42,7 @@ use gs_models::transformer::{
     ExtractorOptions, TrainConfig, TransformerConfig, TransformerExtractor,
 };
 use gs_models::{LinearDetector, LinearDetectorConfig};
-use gs_pipeline::{DbStoreHook, ExtractorEngine, GoalSpotter, QuantizedEngine};
+use gs_pipeline::{DbStoreHook, ExtractorEngine, GoalSpotter};
 use gs_serve::{BatchConfig, ExtractEngine, IngestHook, ObjectiveStoreHook, Server, ServerConfig};
 use gs_store::{ObjectiveDb, StoreConfig};
 use std::sync::Arc;
@@ -69,8 +68,28 @@ fn tiny_extractor(size: usize, epochs: usize) -> TransformerExtractor {
     TransformerExtractor::train(&refs, &dataset.labels, options)
 }
 
+/// Every flag gs-served takes; `--train-tiny` names the default and needs
+/// no reading.
+const FLAGS: &[&str] = &[
+    "model",
+    "train-tiny",
+    "save-model",
+    "addr",
+    "max-batch",
+    "queue-cap",
+    "workers",
+    "deadline-ms",
+    "size",
+    "epochs",
+    "store-dir",
+];
+
 fn main() {
     let args = Args::from_env();
+    if let Err(err) = args.check_known(&[FLAGS, gs_bench::obs::FLAGS].concat()) {
+        eprintln!("gs-served: {err}");
+        std::process::exit(2);
+    }
     gs_bench::obs::init(&args);
 
     let extractor = match args.get("model") {
@@ -117,7 +136,7 @@ fn main() {
             recovery.torn_tails()
         );
         // A linear detector trains in well under a second; pairing it with
-        // the (f32) extractor gives /v1/ingest a full detect → extract path
+        // the extractor gives /v1/ingest a full detect → extract path
         // and scores store-hook upserts comparably to the batch pipeline.
         let dataset = gs_data::sustaingoals::generate(64, 42);
         let mut detection: Vec<(&str, bool)> =
@@ -130,16 +149,7 @@ fn main() {
     });
     let store = hook.clone().map(|h| h as Arc<dyn ObjectiveStoreHook>);
     let ingest = hook.map(|h| h as Arc<dyn IngestHook>);
-    let engine: Arc<dyn ExtractEngine> = if args.has("quantized") {
-        let engine = QuantizedEngine::from_extractor(&extractor);
-        eprintln!(
-            "serving int8 quantized encoder ({} bytes of quantized weights)",
-            engine.0.model().quantized_bytes()
-        );
-        Arc::new(engine)
-    } else {
-        Arc::new(ExtractorEngine(extractor))
-    };
+    let engine: Arc<dyn ExtractEngine> = Arc::new(ExtractorEngine(extractor));
     let server = Server::start_with_hooks(engine, config, store, ingest)
         .unwrap_or_else(|e| panic!("cannot start server: {e}"));
     println!("listening on http://{}", server.addr());

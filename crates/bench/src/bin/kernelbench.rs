@@ -12,9 +12,9 @@
 //!
 //! Reported per matmul variant: ns/call and GFLOP/s in both modes. End to
 //! end: the packed inference forward and the fine-tuning train step, timed
-//! single-threaded in both configurations, plus the f32 vs int8 serving
-//! forward. The after-forward additionally runs under `gs_obs::prof` so the
-//! gelu share of attributed forward time is pinned.
+//! single-threaded in both configurations, plus the serving forward on the
+//! default pool. The after-forward additionally runs under `gs_obs::prof`
+//! so the gelu share of attributed forward time is pinned.
 //!
 //! Usage:
 //!   cargo run --release -p gs-bench --bin kernelbench -- [--smoke]
@@ -28,8 +28,7 @@
 
 use gs_bench::Args;
 use gs_models::transformer::{
-    train_token_classifier, QuantizedModel, TokenClassifier, TrainConfig, TrainExample,
-    TransformerConfig,
+    train_token_classifier, TokenClassifier, TrainConfig, TrainExample, TransformerConfig,
 };
 use gs_obs::prof;
 use gs_obs::Json;
@@ -315,30 +314,17 @@ fn main() {
         "train e2e"
     );
 
-    // Serving forward, f32 vs int8, both in the after configuration: the
-    // quantized path trades tolerance-bounded logits for a ~4x smaller
-    // encoder; wall time stays in the same regime (both are GEMM-bound).
+    // Serving forward in the after configuration, on the default pool:
+    // the path `predict_tags_batch` runs for every served micro-batch.
     configure(true);
-    let quantized = QuantizedModel::from(&model);
     let serve_f32_ns = arena::scope(|| {
         time_ns(fwd_reps, || {
             let _ = model.predict_classes_batch(&refs);
         })
     });
-    let serve_int8_ns = arena::scope(|| {
-        time_ns(fwd_reps, || {
-            let _ = quantized.predict_classes_batch(&refs);
-        })
-    });
-    let f32_weight_bytes = quantized.quantized_bytes() * 4;
-    println!(
-        "{:>14}  f32 {serve_f32_ns:>10.0} ns  int8 {serve_int8_ns:>10.0} ns  ({:.2}x, weights {} -> {} bytes)",
-        "serve fwd",
-        serve_f32_ns / serve_int8_ns,
-        f32_weight_bytes,
-        quantized.quantized_bytes(),
-    );
+    println!("{:>14}  f32 {serve_f32_ns:>10.0} ns", "serve fwd");
 
+    let host_cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     let gates_pass = forward_speedup >= FORWARD_GATE
         && train_speedup >= TRAIN_GATE
         && gelu_share <= GELU_SHARE_GATE;
@@ -346,6 +332,7 @@ fn main() {
         ("bench", "kernelbench".into()),
         ("smoke", smoke.into()),
         ("reps", reps.into()),
+        ("host_cores", Json::from(host_cores as u64)),
         (
             "model",
             Json::obj(vec![
@@ -380,16 +367,7 @@ fn main() {
                 ("speedup", train_speedup.into()),
             ]),
         ),
-        (
-            "serve_forward",
-            Json::obj(vec![
-                ("f32_ns", serve_f32_ns.into()),
-                ("int8_ns", serve_int8_ns.into()),
-                ("int8_over_f32", Json::from(serve_int8_ns / serve_f32_ns)),
-                ("f32_weight_bytes", f32_weight_bytes.into()),
-                ("int8_weight_bytes", quantized.quantized_bytes().into()),
-            ]),
-        ),
+        ("serve_forward", Json::obj(vec![("f32_ns", serve_f32_ns.into())])),
         (
             "gates",
             Json::obj(vec![

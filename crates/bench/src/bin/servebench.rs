@@ -15,16 +15,14 @@
 //! Usage:
 //!   cargo run --release -p gs-bench --bin servebench --
 //!       [--size N] [--epochs N] [--requests N] [--trials N] [--out PATH]
-//!       [--quantized]
-//!
-//! With `--quantized` a third arm serves the same weights through the int8
-//! quantized packed forward (`QuantizedEngine`), so the summary compares
-//! f32 and int8 serving under identical batching.
 //!
 //! Writes `results/BENCH_serve.json` with throughput and client-side
 //! latency percentiles per (scheduling, client-count) cell; each cell is
 //! the median-throughput trial of `--trials` runs (single-box scheduling
-//! noise is several percent, so one trial is not trustworthy). The gate,
+//! noise is several percent, so one trial is not trustworthy). Both arms
+//! serve from the start, and each trial runs them back to back, the first
+//! arm alternating from trial to trial, so a drift in host speed lands on
+//! both arms alike instead of on whichever ran later. The gate,
 //! `microbatch_beats_unbatched`, holds only if micro-batching is faster
 //! at every client count (1, 4 and 16), the lone-client case included.
 
@@ -133,18 +131,56 @@ fn run_fleet(
     FleetResult { elapsed, latencies, ok, shed, other }
 }
 
-/// Runs a cell `trials` times and keeps the median-throughput trial.
-fn run_cell(
-    addr: std::net::SocketAddr,
-    texts: &[&str],
-    clients: usize,
-    requests: usize,
-    trials: usize,
-) -> FleetResult {
-    let mut runs: Vec<FleetResult> =
-        (0..trials.max(1)).map(|_| run_fleet(addr, texts, clients, requests)).collect();
+/// The median-throughput trial of a cell.
+fn median_trial(mut runs: Vec<FleetResult>) -> FleetResult {
     runs.sort_by(|a, b| a.throughput().total_cmp(&b.throughput()));
     runs.swap_remove(runs.len() / 2)
+}
+
+/// The running `(sum, count)` of the `serve.batch.size` histogram, which
+/// both arms' servers record into.
+fn batch_totals() -> (f64, u64) {
+    gs_obs::snapshot()
+        .and_then(|s| s.histogram("serve.batch.size").map(|h| (h.sum, h.total)))
+        .unwrap_or((0.0, 0))
+}
+
+/// One arm of the comparison: a running server and the batches it
+/// dispatched during this arm's fleets.
+struct Arm {
+    name: &'static str,
+    engine: &'static str,
+    max_batch: usize,
+    server: Server,
+    trials: Vec<FleetResult>,
+    batch_sum: f64,
+    batches: u64,
+}
+
+impl Arm {
+    fn start(
+        name: &'static str,
+        engine: &'static str,
+        backend: Arc<dyn ExtractEngine>,
+        max_batch: usize,
+    ) -> Arm {
+        let config = ServerConfig {
+            batch: BatchConfig { max_batch, ..Default::default() },
+            ..Default::default()
+        };
+        let server = Server::start(backend, config).expect("server");
+        Arm { name, engine, max_batch, server, trials: Vec::new(), batch_sum: 0.0, batches: 0 }
+    }
+
+    /// Runs one trial, crediting the batches dispatched meanwhile to this
+    /// arm (the other arm's server is idle while it runs).
+    fn trial(&mut self, texts: &[&str], clients: usize, requests: usize) {
+        let (sum, count) = batch_totals();
+        self.trials.push(run_fleet(self.server.addr(), texts, clients, requests));
+        let (sum_after, count_after) = batch_totals();
+        self.batch_sum += sum_after - sum;
+        self.batches += count_after.saturating_sub(count);
+    }
 }
 
 fn quantile(sorted: &[Duration], q: f64) -> f64 {
@@ -208,74 +244,58 @@ fn main() {
     let texts = dataset.texts();
 
     // Throughput sweep: per-request baseline vs micro-batched serving,
-    // same weights, same single worker, growing concurrency. With
-    // `--quantized`, a third arm serves the int8 encoder under the same
-    // micro-batching config as the f32 packed arm.
-    let mut schedules: Vec<(&str, Arc<dyn ExtractEngine>, BatchConfig)> = vec![
-        (
+    // same weights, same single worker, growing concurrency.
+    let mut arms = [
+        Arm::start(
             "unbatched",
+            "per-request taped single-text forward",
             Arc::new(PerRequestEngine(Arc::clone(&extractor))),
-            BatchConfig { max_batch: 1, ..Default::default() },
+            1,
         ),
-        (
+        Arm::start(
             "microbatch",
+            "packed tape-free batched forward",
             Arc::new(PackedEngine(Arc::clone(&extractor))),
-            BatchConfig { max_batch: 8, ..Default::default() },
+            8,
         ),
     ];
-    if args.has("quantized") {
-        schedules.push((
-            "quantized",
-            Arc::new(gs_pipeline::QuantizedEngine::from_extractor(&extractor)),
-            BatchConfig { max_batch: 8, ..Default::default() },
-        ));
-    }
     const CLIENTS: [usize; 3] = [1, 4, 16];
     let mut cells = Vec::new();
-    let mut schedule_stats = Vec::new();
     // Median-trial throughput per (schedule, client count).
     let mut throughput: Vec<(&str, usize, f64)> = Vec::new();
-    // serve.batch.size accumulates across schedules; per-schedule means
-    // come from deltas of its running (sum, count).
-    let (mut batch_sum, mut batch_count) = (0.0f64, 0u64);
-    for (name, engine, batch) in &schedules {
-        let server = Server::start(
-            Arc::clone(engine),
-            ServerConfig { batch: batch.clone(), ..Default::default() },
-        )
-        .expect("server");
-        for clients in CLIENTS {
-            let result = run_cell(server.addr(), &texts, clients, requests, trials);
+    let mut round = 0usize;
+    for clients in CLIENTS {
+        for _ in 0..trials.max(1) {
+            let first = round % 2;
+            round += 1;
+            arms[first].trial(&texts, clients, requests);
+            arms[1 - first].trial(&texts, clients, requests);
+        }
+        for arm in &mut arms {
+            let result = median_trial(std::mem::take(&mut arm.trials));
             let rps = result.throughput();
             println!(
-                "{name:>10} clients={clients:<3} ok={:<5} shed={:<4} {:>8.1} req/s p95={:.1}ms",
+                "{:>10} clients={clients:<3} ok={:<5} shed={:<4} {:>8.1} req/s p95={:.1}ms",
+                arm.name,
                 result.ok,
                 result.shed,
                 rps,
                 quantile(&result.latencies, 0.95) * 1e3,
             );
-            throughput.push((name, clients, rps));
-            cells.push(cell_json(name, clients, &result));
+            throughput.push((arm.name, clients, rps));
+            cells.push(cell_json(arm.name, clients, &result));
         }
-        server.shutdown();
-        let hist = gs_obs::snapshot().and_then(|s| s.histogram("serve.batch.size").cloned());
-        let (sum, count) = hist.map_or((batch_sum, batch_count), |h| (h.sum, h.total));
-        let dispatched = count.saturating_sub(batch_count);
-        let mean_batch = if dispatched == 0 { 0.0 } else { (sum - batch_sum) / dispatched as f64 };
-        (batch_sum, batch_count) = (sum, count);
-        println!("{name:>10} dispatched {dispatched} batches, mean size {mean_batch:.2}");
+    }
+    let mut schedule_stats = Vec::new();
+    for arm in arms {
+        arm.server.shutdown();
+        let mean_batch = if arm.batches == 0 { 0.0 } else { arm.batch_sum / arm.batches as f64 };
+        println!("{:>10} dispatched {} batches, mean size {mean_batch:.2}", arm.name, arm.batches);
         schedule_stats.push(Json::obj(vec![
-            ("scheduling", Json::from(*name)),
-            (
-                "engine",
-                Json::from(match *name {
-                    "unbatched" => "per-request taped single-text forward",
-                    "quantized" => "int8 packed tape-free batched forward",
-                    _ => "packed tape-free batched forward",
-                }),
-            ),
-            ("max_batch", Json::from(batch.max_batch)),
-            ("dispatched_batches", Json::from(dispatched)),
+            ("scheduling", Json::from(arm.name)),
+            ("engine", Json::from(arm.engine)),
+            ("max_batch", Json::from(arm.max_batch)),
+            ("dispatched_batches", Json::from(arm.batches)),
             ("mean_batch_size", Json::from(mean_batch)),
         ]));
     }
@@ -312,7 +332,7 @@ fn main() {
         let verdict = if speedup > 1.0 { "beats" } else { "LOSES TO" };
         println!("microbatch {verdict} unbatched at {clients} clients: {speedup:.2}x");
     }
-    let mut summary_fields = vec![
+    let summary = Json::obj(vec![
         ("bench", Json::from("servebench")),
         ("corpus_size", Json::from(size)),
         ("requests_per_client", Json::from(requests)),
@@ -331,29 +351,22 @@ fn main() {
             ),
         ),
         ("microbatch_beats_unbatched", Json::from(speedups.iter().all(|&(_, x)| x > 1.0))),
-    ];
-    if args.has("quantized") {
-        summary_fields.push((
-            "quantized_vs_f32_at_16_clients",
-            Json::from(rps("quantized", 16) / rps("microbatch", 16).max(1e-9)),
-        ));
-    }
-    summary_fields.extend([(
-        "overload",
-        Json::obj(vec![
-            ("ok", Json::from(overload.ok)),
-            ("shed", Json::from(overload.shed)),
-            ("other", Json::from(overload.other)),
-            (
-                "shed_fraction",
-                Json::from(
-                    overload.shed as f64
-                        / (overload.ok + overload.shed + overload.other).max(1) as f64,
+        (
+            "overload",
+            Json::obj(vec![
+                ("ok", Json::from(overload.ok)),
+                ("shed", Json::from(overload.shed)),
+                ("other", Json::from(overload.other)),
+                (
+                    "shed_fraction",
+                    Json::from(
+                        overload.shed as f64
+                            / (overload.ok + overload.shed + overload.other).max(1) as f64,
+                    ),
                 ),
-            ),
-        ]),
-    )]);
-    let summary = Json::obj(summary_fields);
+            ]),
+        ),
+    ]);
 
     if let Some(dir) = std::path::Path::new(&out).parent() {
         let _ = std::fs::create_dir_all(dir);

@@ -12,6 +12,10 @@ use std::sync::Arc;
 
 use crate::Args;
 
+/// The flags [`init`] and [`finish`] read, for binaries that check their
+/// command line with [`Args::check_known`].
+pub const FLAGS: &[&str] = &["obs-jsonl", "no-obs", "no-obs-report", "sanitize"];
+
 /// Installs the global collector for a harness run.
 ///
 /// Recognised flags:

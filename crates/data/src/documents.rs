@@ -117,15 +117,6 @@ pub fn generate_report(
     Report { company: company.to_string(), title: title.to_string(), pages: pages_vec }
 }
 
-/// Generates a synthetic company name.
-pub fn company_name(rng: &mut Rng) -> String {
-    format!(
-        "{} {}",
-        rng.choose(banks::COMPANY_HEADS).expect("bank"),
-        rng.choose(banks::COMPANY_TAILS).expect("bank")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

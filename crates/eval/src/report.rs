@@ -27,11 +27,6 @@ impl TextTable {
         self.row(&owned)
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with aligned columns and a separator line.
     pub fn render(&self) -> String {
         let ncols = self.header.len();

@@ -159,11 +159,6 @@ impl TransformerExtractor {
         &self.model
     }
 
-    /// Internal access for the int8 serving twin ([`super::quant`]).
-    pub(crate) fn parts(&self) -> (&Tokenizer, &Normalizer, MultiSpanPolicy) {
-        (&self.tokenizer, &self.case_normalizer, self.options.multi_span)
-    }
-
     /// Predicts word-level tags for a new objective, returning the
     /// case-preserved normalized text, its word tokens, and one tag per
     /// word.
@@ -233,15 +228,15 @@ impl TransformerExtractor {
 /// case-preserved tokens for decoding plus the BOS/EOS-wrapped id
 /// sequence. `ids` is empty when the text has no usable tokens, in which
 /// case decoding yields no tags.
-pub(crate) struct InferenceInput {
+struct InferenceInput {
     case_text: String,
     case_tokens: Vec<PreToken>,
     enc: Encoding,
-    pub(crate) ids: Vec<usize>,
+    ids: Vec<usize>,
 }
 
 /// Tokenizes `text` for inference: `<s> ids </s>`, truncated to `max_len`.
-pub(crate) fn encode_for_inference(
+fn encode_for_inference(
     tokenizer: &Tokenizer,
     case_normalizer: &Normalizer,
     max_len: usize,
@@ -265,7 +260,7 @@ pub(crate) fn encode_for_inference(
 
 /// Turns predicted subword classes back into word-level tags over the
 /// case-preserved tokens.
-pub(crate) fn decode_predictions(
+fn decode_predictions(
     labels: &LabelSet,
     input: InferenceInput,
     classes: &[usize],

@@ -5,7 +5,6 @@ mod config;
 mod extractor;
 mod model;
 mod pretrain;
-mod quant;
 mod trainer;
 
 pub use check::{assert_classifier_valid, validate_classifier};
@@ -13,5 +12,4 @@ pub use config::{ModelFamily, TrainConfig, TransformerConfig};
 pub use extractor::{ExtractorOptions, ExtractorView, TransformerExtractor};
 pub use model::TokenClassifier;
 pub use pretrain::{pretrain_encoder, pretrain_encoder_shared, PretrainConfig, PretrainedEncoder};
-pub use quant::{QuantizedExtractor, QuantizedLinear, QuantizedModel};
 pub use trainer::{train_token_classifier, train_token_classifier_cb, EpochStats, TrainExample};

@@ -430,21 +430,6 @@ impl TokenClassifier {
         packed.unpack_classes(seqs, &classes)
     }
 
-    /// Raw `[n, num_classes]` logits for one sequence (inference mode,
-    /// truncated to `max_len`), via the packed forward. Exposed so the int8
-    /// quantization tolerance suite can compare per-logit error against the
-    /// f32 path; not a serving entry point.
-    ///
-    /// # Panics
-    /// Panics on an empty sequence.
-    pub fn logits(&self, ids: &[usize]) -> Tensor {
-        assert!(!ids.is_empty(), "empty input sequence");
-        let n = ids.len().min(self.config.max_len);
-        let positions: Vec<usize> = (0..n).collect();
-        let ranges = vec![Some((0, n))];
-        gs_tensor::arena::scope(|| self.forward_packed(&ids[..n], &positions, &ranges))
-    }
-
     /// The packed inference forward shared by
     /// [`predict_classes_batch`](Self::predict_classes_batch): returns the
     /// `[total_tokens, num_classes]` logits. Every operation replicates
@@ -595,20 +580,18 @@ impl TokenClassifier {
 
 /// Sequences packed into one flat id stream for a batched forward, with
 /// enough bookkeeping to scatter per-token results back to their inputs.
-/// Shared between the f32 and int8 packed forwards so both paths have
-/// identical packing, truncation, and empty-sequence semantics.
-pub(crate) struct PackedSeqs {
+struct PackedSeqs {
     /// Every non-empty sequence's ids (truncated to `max_len`), contiguous.
-    pub(crate) flat_ids: Vec<usize>,
+    flat_ids: Vec<usize>,
     /// Position index of each flat id within its own sequence.
-    pub(crate) positions: Vec<usize>,
+    positions: Vec<usize>,
     /// Per input sequence: `Some((start, len))` into `flat_ids`, or `None`
     /// for empty inputs.
-    pub(crate) ranges: Vec<Option<(usize, usize)>>,
+    ranges: Vec<Option<(usize, usize)>>,
 }
 
 /// Packs non-empty sequences (truncated to `max_len`) into one flat stream.
-pub(crate) fn pack_sequences(seqs: &[&[usize]], max_len: usize) -> PackedSeqs {
+fn pack_sequences(seqs: &[&[usize]], max_len: usize) -> PackedSeqs {
     let mut flat_ids: Vec<usize> = Vec::new();
     let mut positions: Vec<usize> = Vec::new();
     let mut ranges: Vec<Option<(usize, usize)>> = Vec::with_capacity(seqs.len());
@@ -629,7 +612,7 @@ pub(crate) fn pack_sequences(seqs: &[&[usize]], max_len: usize) -> PackedSeqs {
 impl PackedSeqs {
     /// Scatters flat per-token classes back to one vector per input
     /// sequence, padding truncated tails with the O class (0).
-    pub(crate) fn unpack_classes(&self, seqs: &[&[usize]], classes: &[usize]) -> Vec<Vec<usize>> {
+    fn unpack_classes(&self, seqs: &[&[usize]], classes: &[usize]) -> Vec<Vec<usize>> {
         seqs.iter()
             .zip(&self.ranges)
             .map(|(seq, range)| match range {
@@ -646,8 +629,7 @@ impl PackedSeqs {
 
 /// Adds a `[d]` bias to every row of `[n, d]` — the inference twin of
 /// `Tape::add_bias` (same accumulation order for bitwise-equal results).
-/// Shared with the int8 serving path in [`super::quant`].
-pub(crate) fn add_bias_rows(mut x: Tensor, bias: &Tensor) -> Tensor {
+fn add_bias_rows(mut x: Tensor, bias: &Tensor) -> Tensor {
     assert_eq!(x.cols(), bias.len(), "add_bias width mismatch");
     for i in 0..x.rows() {
         for (o, &bv) in x.row_mut(i).iter_mut().zip(bias.data()) {
@@ -659,8 +641,7 @@ pub(crate) fn add_bias_rows(mut x: Tensor, bias: &Tensor) -> Tensor {
 
 /// Row-wise layer norm — the inference twin of `Tape::layer_norm` (same
 /// epsilon and evaluation order).
-/// Shared with the int8 serving path in [`super::quant`].
-pub(crate) fn layer_norm_rows(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Tensor {
+fn layer_norm_rows(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Tensor {
     const EPS: f32 = 1e-5;
     let d = x.cols();
     assert_eq!(gamma.len(), d, "layer_norm gamma width");

@@ -13,7 +13,7 @@
 //! timing-dependent rather than meaningful.
 
 use gs_check::GrowthMonitor;
-use gs_models::transformer::{ModelFamily, QuantizedModel, TokenClassifier, TransformerConfig};
+use gs_models::transformer::{ModelFamily, TokenClassifier, TransformerConfig};
 use gs_tensor::arena;
 use std::sync::Mutex;
 
@@ -85,22 +85,6 @@ fn packed_forward_allocates_nothing_in_steady_state() {
     arena::scope(|| {
         assert_flat("f32 packed forward", || {
             assert_eq!(model.predict_classes_batch(&refs), baseline);
-        });
-    });
-    arena::clear();
-}
-
-#[test]
-fn quantized_forward_allocates_nothing_in_steady_state() {
-    let _guard = SOAK.lock().unwrap_or_else(|e| e.into_inner());
-    let model = bench_model();
-    let quantized = QuantizedModel::from(&model);
-    let seqs = batch();
-    let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-    let baseline = quantized.predict_classes_batch(&refs);
-    arena::scope(|| {
-        assert_flat("int8 packed forward", || {
-            assert_eq!(quantized.predict_classes_batch(&refs), baseline);
         });
     });
     arena::clear();

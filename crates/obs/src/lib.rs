@@ -217,11 +217,6 @@ pub fn snapshot() -> Option<MetricsSnapshot> {
     with_collector(|c| c.registry().snapshot())
 }
 
-/// The human-readable report of the installed collector.
-pub fn global_report() -> Option<String> {
-    with_collector(Collector::report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,7 +247,6 @@ mod tests {
             assert_eq!(s.path(), "");
             drop(s);
             assert!(snapshot().is_none());
-            assert!(global_report().is_none());
         });
     }
 

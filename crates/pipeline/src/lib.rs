@@ -25,5 +25,5 @@ pub use ingest::{ingest_report_text, ingest_snapshot, IngestStats, IngestedObjec
 pub use produce::{
     process_corpus, process_corpus_parallel, process_report, CompanyStats, ReportStats,
 };
-pub use serving::{DbStoreHook, ExtractorEngine, QuantizedEngine};
+pub use serving::{DbStoreHook, ExtractorEngine};
 pub use system::{GoalSpotter, GoalSpotterConfig};

@@ -5,7 +5,7 @@
 use crate::ingest::{ingest_report_text, IngestStats, IngestedObjective};
 use crate::system::GoalSpotter;
 use gs_core::ExtractedDetails;
-use gs_models::transformer::{QuantizedExtractor, TransformerExtractor};
+use gs_models::transformer::TransformerExtractor;
 use gs_obs::json::{write_f64, write_string};
 use gs_serve::{ExtractEngine, Extraction, IngestHook, Json, ObjectiveStoreHook};
 use gs_store::{ObjectiveDb, ObjectiveRecord, UpsertOutcome};
@@ -37,31 +37,6 @@ impl ExtractEngine for GoalSpotter {
 pub struct ExtractorEngine(pub TransformerExtractor);
 
 impl ExtractEngine for ExtractorEngine {
-    fn extract_batch(&self, texts: &[String]) -> Vec<Extraction> {
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        arena::scope(|| self.0.extract_batch(&refs)).into_iter().map(to_extraction).collect()
-    }
-
-    fn arena_bytes(&self) -> Option<u64> {
-        Some(arena::stats().pooled_bytes)
-    }
-}
-
-/// The int8 serving engine: a weight-quantized copy of a trained extractor
-/// behind the same [`ExtractEngine`] interface. Spans match the f32 path on
-/// the accuracy-tolerance suite while the encoder weights occupy ~4x less
-/// memory; logits are tolerance-bounded, not bit-identical (see
-/// `gs_models::transformer::QuantizedExtractor`).
-pub struct QuantizedEngine(pub QuantizedExtractor);
-
-impl QuantizedEngine {
-    /// Quantizes `extractor`'s encoder weights into a serving engine.
-    pub fn from_extractor(extractor: &TransformerExtractor) -> Self {
-        QuantizedEngine(QuantizedExtractor::from(extractor))
-    }
-}
-
-impl ExtractEngine for QuantizedEngine {
     fn extract_batch(&self, texts: &[String]) -> Vec<Extraction> {
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
         arena::scope(|| self.0.extract_batch(&refs)).into_iter().map(to_extraction).collect()

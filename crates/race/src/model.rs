@@ -121,15 +121,6 @@ impl Report {
             panic!("model check failed:\n{failure}");
         }
     }
-
-    /// Panics unless a failure was found — used by the mutation self-test
-    /// to prove a seeded bug is caught.
-    #[track_caller]
-    pub fn assert_fails(&self) -> &Failure {
-        self.failure.as_ref().unwrap_or_else(|| {
-            panic!("expected the model to fail, but {} schedules passed", self.schedules)
-        })
-    }
 }
 
 /// Explores `body` under many schedules. `body` is re-run from scratch for

@@ -9,8 +9,9 @@ use crate::metrics_text;
 use crate::slo::{SloConfig, SloTracker};
 use crate::store_hook::{IngestHook, ObjectiveStoreHook};
 use crate::trace::{mint_trace_id, FlightRecorder, Trace};
+use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
@@ -61,6 +62,9 @@ struct ServerShared {
     config: ServerConfig,
     shutting_down: AtomicBool,
     active_connections: AtomicUsize,
+    /// A clone of each admitted connection's stream, by connection number,
+    /// so shutdown can end the read side of idle keep-alive connections.
+    connections: Mutex<HashMap<u64, TcpStream>>,
     recorder: FlightRecorder,
     slo: Mutex<SloTracker>,
     store: Option<Arc<dyn ObjectiveStoreHook>>,
@@ -112,6 +116,7 @@ impl Server {
             config,
             shutting_down: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
+            connections: Mutex::new(HashMap::new()),
             store,
             ingest,
         });
@@ -143,12 +148,7 @@ impl Server {
     /// Stops accepting connections, drains queued and in-flight batches,
     /// and joins the server threads.
     pub fn shutdown(mut self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.stop_accepting();
         // Wait briefly for in-flight handlers to finish writing responses.
         let patience = Instant::now() + self.shared.config.read_timeout + Duration::from_secs(1);
         while self.shared.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < patience
@@ -157,20 +157,36 @@ impl Server {
         }
         // Batcher::drop drains the queue through the workers and joins.
     }
-}
 
-impl Drop for Server {
-    fn drop(&mut self) {
+    /// Stops the accept loop, then ends the read side of every open
+    /// connection: a handler blocked reading an idle keep-alive connection
+    /// sees end of stream at once instead of waiting out `read_timeout`,
+    /// while one that has already read a request still writes its response.
+    fn stop_accepting(&mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
+        // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
+        // The accept loop registers each connection before spawning its
+        // handler, so after the join no handler can start unregistered.
+        let connections = self.shared.connections.lock().unwrap_or_else(|e| e.into_inner());
+        for stream in connections.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop_accepting();
     }
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     // Handler threads detach; active_connections tracks them for shutdown.
+    let mut next_id = 0u64;
     loop {
         let (stream, _) = match listener.accept() {
             Ok(pair) => pair,
@@ -198,16 +214,29 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
             release_connection(shared);
             continue;
         }
+        let id = next_id;
+        next_id += 1;
+        if let Ok(clone) = stream.try_clone() {
+            shared.connections.lock().unwrap_or_else(|e| e.into_inner()).insert(id, clone);
+        }
         let conn_shared = Arc::clone(shared);
         let spawned =
             std::thread::Builder::new().name("gs-serve-conn".to_string()).spawn(move || {
                 handle_connection(stream, &conn_shared);
+                unregister_connection(&conn_shared, id);
                 release_connection(&conn_shared);
             });
         if spawned.is_err() {
+            unregister_connection(shared, id);
             release_connection(shared);
         }
     }
+}
+
+/// Drops connection `id`'s registered clone, so the socket closes once
+/// its handler's own handles are gone.
+fn unregister_connection(shared: &ServerShared, id: u64) {
+    shared.connections.lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
 }
 
 fn release_connection(shared: &ServerShared) {

@@ -278,6 +278,21 @@ fn graceful_shutdown_drains_inflight_work() {
 }
 
 #[test]
+fn shutdown_does_not_wait_out_an_idle_keep_alive_client() {
+    let config = ServerConfig { read_timeout: Duration::from_secs(10), ..Default::default() };
+    let server = Server::start(Arc::new(FakeEngine::new(Duration::ZERO)), config).unwrap();
+    let mut c = client(&server);
+    assert_eq!(c.post_json("/v1/extract", r#"{"text": "then idle"}"#).unwrap().status, 200);
+    // The connection stays open: its handler is blocked reading the next
+    // request, with ten seconds left on its read timeout.
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown waited {took:?} on an idle client");
+    assert!(c.get("/healthz").is_err(), "the idle connection outlived the server");
+}
+
+#[test]
 fn batch_larger_than_the_queue_gets_413_without_retry_after() {
     let _serial = telemetry_lock();
     gs_obs::install(gs_obs::Collector::new());

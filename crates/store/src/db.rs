@@ -34,16 +34,13 @@
 //! caches each shard's epoch and immutable view — steady-state reads cost
 //! one atomic load per shard and never block behind the writer. Compaction
 //! ([`ObjectiveDb::compact_all`]) fans out across shards on the gs-par
-//! pool, and [`ObjectiveDb::spawn_compactor`] runs the same sweep on a
-//! background thread whenever a shard's log accumulates enough ops.
+//! pool.
 
-use gs_race::sync::{AtomicBool, Ordering};
 use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::codec;
 use crate::hash::fnv1a64;
@@ -396,70 +393,6 @@ impl ObjectiveDb {
             shards: Arc::clone(&self.shards),
             handles: vec![ReadHandle::new(); self.shards.len()],
         }
-    }
-
-    /// Starts a background thread that sweeps shards every `interval` and
-    /// compacts any whose log holds at least `compact_after_ops` new ops
-    /// (the config value; the sweep is a no-op when auto-compaction is
-    /// disabled). Returns a handle that stops the thread on drop.
-    pub fn spawn_compactor(&self, interval: Duration) -> CompactorHandle {
-        let shards = Arc::clone(&self.shards);
-        let threshold = self.config.compact_after_ops;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let join = std::thread::Builder::new()
-            .name("gs-store-compactor".into())
-            .spawn(move || {
-                // ordering: Relaxed — `stop` is a pure flag with no payload
-                // handed across it; the shard data the sweep touches is
-                // synchronized by each shard's own locks, and thread::join
-                // in `stop_and_join` orders everything at shutdown.
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if threshold == 0 || stop2.load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    for shard in shards.iter() {
-                        if shard.ops_since_compact() >= threshold {
-                            let span = gs_obs::span("store.compact.shard");
-                            if shard.compact().is_ok() {
-                                gs_obs::counter("store.compactions", 1);
-                            }
-                            drop(span);
-                        }
-                    }
-                }
-            })
-            .expect("spawn compactor thread");
-        CompactorHandle { stop, join: Some(join) }
-    }
-}
-
-/// Stops the background compactor when dropped.
-pub struct CompactorHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl CompactorHandle {
-    /// Signals the thread and waits for it to exit.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        // ordering: Relaxed — see the compactor loop: the flag carries no
-        // payload and the join below is the real synchronization point.
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for CompactorHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
     }
 }
 

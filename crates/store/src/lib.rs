@@ -34,9 +34,7 @@ pub use codec::{
     content_hash, decode_op, decode_record, encode_op, encode_record, identity_key, record_to_json,
     records_to_json, CodecError, LogOp,
 };
-pub use db::{
-    CompactorHandle, ObjectiveDb, ObjectiveSink, RecoveryReport, StoreConfig, StoreReader,
-};
+pub use db::{ObjectiveDb, ObjectiveSink, RecoveryReport, StoreConfig, StoreReader};
 pub use hash::{crc32, fnv1a64, Fnv1a64};
 pub use record::ObjectiveRecord;
 pub use shard::{CompactionStats, Shard, UpsertOutcome};

@@ -203,11 +203,6 @@ impl OpKind {
         }
     }
 
-    /// Whether this is a leaf (parameter or constant).
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, OpKind::Leaf { .. })
-    }
-
     /// Whether this is a trainable-parameter leaf.
     pub fn is_param(&self) -> bool {
         matches!(self, OpKind::Leaf { requires_grad: true })

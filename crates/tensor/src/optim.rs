@@ -69,11 +69,6 @@ impl ParamStore {
         &self.entries[id.0].value
     }
 
-    /// Mutable access to a parameter value (used by tests and loaders).
-    pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.entries[id.0].value
-    }
-
     /// The accumulated gradient of a parameter, if any step produced one.
     pub fn grad(&self, id: ParamId) -> Option<&Tensor> {
         self.entries[id.0].grad.as_ref()

@@ -207,13 +207,6 @@ impl Tensor {
         self.data[i * self.shape[1] + j]
     }
 
-    /// Mutable element accessor for rank-2 tensors.
-    pub fn at2_mut(&mut self, i: usize, j: usize) -> &mut f32 {
-        debug_assert_eq!(self.rank(), 2);
-        let c = self.shape[1];
-        &mut self.data[i * c + j]
-    }
-
     /// Borrow row `i` of a rank-2 tensor.
     pub fn row(&self, i: usize) -> &[f32] {
         let c = self.cols();
@@ -302,11 +295,6 @@ impl Tensor {
         for a in &mut self.data {
             *a *= scale;
         }
-    }
-
-    /// Fills the tensor with zeros, keeping the shape.
-    pub fn zero_fill(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
     /// Sum of all elements.

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 mod bpe;
-mod conll;
 mod normalize;
 mod pretokenize;
 mod sentence;
@@ -23,9 +22,8 @@ mod wordpiece;
 pub mod labels;
 
 pub use bpe::Bpe;
-pub use conll::{bioes_to_iob, from_conll, iob_to_bioes, to_conll, BioesTag, ConllSentence};
 pub use normalize::{match_key, Normalizer, NormalizerConfig};
-pub use pretokenize::{lowercased_texts, pretokenize, PreToken};
+pub use pretokenize::{pretokenize, PreToken};
 pub use sentence::sentence_spans;
 pub use span::Span;
 pub use tokenizer::{Encoding, SubwordModel, Tokenizer};

@@ -75,11 +75,6 @@ pub fn pretokenize(text: &str) -> Vec<PreToken> {
     tokens
 }
 
-/// Lowercased token texts, for case-insensitive matching policies.
-pub fn lowercased_texts(tokens: &[PreToken]) -> Vec<String> {
-    tokens.iter().map(|t| t.text.to_lowercase()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

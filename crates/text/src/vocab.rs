@@ -67,11 +67,6 @@ impl Vocab {
         self.tokens.is_empty()
     }
 
-    /// Id of the pad token.
-    pub fn pad_id(&self) -> u32 {
-        0
-    }
-
     /// Id of the unknown token.
     pub fn unk_id(&self) -> u32 {
         1
