@@ -12,7 +12,7 @@
 
 use std::cell::RefCell;
 
-use gs_tensor::{infer_shape, Graph, GraphNode, OpKind, TapeOps, Tensor, Var};
+use gs_tensor::{infer_shape, Graph, GraphNode, OpKind, ParamId, ParamStore, TapeOps, Tensor, Var};
 
 use crate::analyze::{Finding, FindingKind};
 
@@ -110,18 +110,69 @@ impl SymTape {
     }
 }
 
-impl TapeOps for SymTape {
-    fn leaf(&self, value: Tensor) -> Var {
+/// Ops the model code does not call; tests build graphs from them.
+impl SymTape {
+    /// Records a trainable leaf.
+    pub fn leaf(&self, value: Tensor) -> Var {
         self.record_leaf(&value, true, None)
     }
-    fn constant(&self, value: Tensor) -> Var {
+    /// Records a constant leaf.
+    pub fn constant(&self, value: Tensor) -> Var {
         self.record_leaf(&value, false, None)
     }
-    fn leaf_labeled(&self, value: &Tensor, label: &str) -> Var {
+    /// Records a trainable leaf with a parameter label.
+    pub fn leaf_labeled(&self, value: &Tensor, label: &str) -> Var {
         self.record_leaf(value, true, Some(label))
     }
-    fn constant_labeled(&self, value: &Tensor, label: &str) -> Var {
+    /// Records a labeled constant leaf.
+    pub fn constant_labeled(&self, value: &Tensor, label: &str) -> Var {
         self.record_leaf(value, false, Some(label))
+    }
+    /// Elementwise `a * b`.
+    pub fn mul(&self, a: Var, b: Var) -> Var {
+        self.record(OpKind::Mul { a: a.index(), b: b.index() })
+    }
+    /// Multiplication by a scalar constant.
+    pub fn scale(&self, a: Var, c: f32) -> Var {
+        self.record(OpKind::Scale { x: a.index(), factor: c })
+    }
+    /// `[m, k] x [n, k]^T`.
+    pub fn matmul_transb(&self, a: Var, b: Var) -> Var {
+        self.record(OpKind::MatMulTransB { a: a.index(), b: b.index() })
+    }
+    /// Elementwise ReLU.
+    pub fn relu(&self, a: Var) -> Var {
+        self.record(OpKind::Relu { x: a.index() })
+    }
+    /// Softmax over the last dimension.
+    pub fn softmax_last_dim(&self, a: Var) -> Var {
+        self.record(OpKind::SoftmaxLastDim { x: a.index() })
+    }
+    /// Column-wise concatenation.
+    pub fn concat_cols(&self, parts: &[Var]) -> Var {
+        self.record(OpKind::ConcatCols { parts: parts.iter().map(|v| v.index()).collect() })
+    }
+    /// Column slice `[start, end)`.
+    pub fn slice_cols(&self, x: Var, start: usize, end: usize) -> Var {
+        self.record(OpKind::SliceCols { x: x.index(), start, end })
+    }
+    /// Mean over all elements.
+    pub fn mean_all(&self, x: Var) -> Var {
+        self.record(OpKind::MeanAll { x: x.index() })
+    }
+    /// Token-masked mean cross-entropy.
+    pub fn cross_entropy(&self, logits: Var, targets: &[i64]) -> Var {
+        self.record(OpKind::CrossEntropy {
+            logits: logits.index(),
+            num_targets: targets.len(),
+            max_target: targets.iter().copied().filter(|&t| t >= 0).max(),
+        })
+    }
+}
+
+impl TapeOps for SymTape {
+    fn param(&self, store: &ParamStore, id: ParamId) -> Var {
+        self.record_leaf(store.value(id), true, Some(store.name(id)))
     }
     fn add(&self, a: Var, b: Var) -> Var {
         self.record(OpKind::Add { a: a.index(), b: b.index() })
@@ -129,32 +180,11 @@ impl TapeOps for SymTape {
     fn add_bias(&self, x: Var, bias: Var) -> Var {
         self.record(OpKind::AddBias { x: x.index(), bias: bias.index() })
     }
-    fn sub(&self, a: Var, b: Var) -> Var {
-        self.record(OpKind::Sub { a: a.index(), b: b.index() })
-    }
-    fn mul(&self, a: Var, b: Var) -> Var {
-        self.record(OpKind::Mul { a: a.index(), b: b.index() })
-    }
-    fn scale(&self, a: Var, c: f32) -> Var {
-        self.record(OpKind::Scale { x: a.index(), factor: c })
-    }
     fn matmul(&self, a: Var, b: Var) -> Var {
         self.record(OpKind::MatMul { a: a.index(), b: b.index() })
     }
-    fn matmul_transb(&self, a: Var, b: Var) -> Var {
-        self.record(OpKind::MatMulTransB { a: a.index(), b: b.index() })
-    }
-    fn relu(&self, a: Var) -> Var {
-        self.record(OpKind::Relu { x: a.index() })
-    }
     fn gelu(&self, a: Var) -> Var {
         self.record(OpKind::Gelu { x: a.index() })
-    }
-    fn tanh(&self, a: Var) -> Var {
-        self.record(OpKind::Tanh { x: a.index() })
-    }
-    fn softmax_last_dim(&self, a: Var) -> Var {
-        self.record(OpKind::SoftmaxLastDim { x: a.index() })
     }
     fn layer_norm(&self, x: Var, gamma: Var, beta: Var) -> Var {
         self.record(OpKind::LayerNorm { x: x.index(), gamma: gamma.index(), beta: beta.index() })
@@ -169,23 +199,21 @@ impl TapeOps for SymTape {
     fn dropout_with_mask(&self, x: Var, mask: Tensor) -> Var {
         self.record(OpKind::Dropout { x: x.index(), mask_shape: mask.shape().to_vec() })
     }
-    fn concat_cols(&self, parts: &[Var]) -> Var {
-        self.record(OpKind::ConcatCols { parts: parts.iter().map(|v| v.index()).collect() })
-    }
-    fn slice_cols(&self, x: Var, start: usize, end: usize) -> Var {
-        self.record(OpKind::SliceCols { x: x.index(), start, end })
-    }
-    fn mean_all(&self, x: Var) -> Var {
-        self.record(OpKind::MeanAll { x: x.index() })
-    }
-    fn sum_all(&self, x: Var) -> Var {
-        self.record(OpKind::SumAll { x: x.index() })
-    }
-    fn cross_entropy(&self, logits: Var, targets: &[i64]) -> Var {
-        self.record(OpKind::CrossEntropy {
-            logits: logits.index(),
-            num_targets: targets.len(),
-            max_target: targets.iter().copied().filter(|&t| t >= 0).max(),
+    fn attention(
+        &self,
+        q: Var,
+        k: Var,
+        v: Var,
+        seqs: &[(usize, usize)],
+        n_heads: usize,
+        _scale: f32,
+    ) -> Var {
+        self.record(OpKind::Attention {
+            q: q.index(),
+            k: k.index(),
+            v: v.index(),
+            seqs: seqs.to_vec(),
+            n_heads,
         })
     }
     fn push_scope(&self, name: &str) {

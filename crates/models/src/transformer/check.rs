@@ -10,7 +10,7 @@
 
 use super::model::TokenClassifier;
 use gs_check::{check_traced, Analysis, SymTape};
-use gs_tensor::{Binder, TapeOps};
+use gs_tensor::Binder;
 
 /// Symbolically traces one full-length forward plus the cross-entropy loss
 /// and returns the gs-check analysis. Ids sweep the vocabulary and the

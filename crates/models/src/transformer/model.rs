@@ -45,6 +45,66 @@ pub struct TokenClassifier {
     config: TransformerConfig,
     num_classes: usize,
     store: ParamStore,
+    ids: ParamIds,
+}
+
+/// Every parameter id the forward binds, resolved from the store's names
+/// once at construction, so no forward formats or looks up a name.
+#[derive(Clone)]
+struct ParamIds {
+    /// `emb.tok`, `emb.pos`.
+    emb: [ParamId; 2],
+    /// `emb.seg` (BERT family only).
+    seg: Option<ParamId>,
+    /// `emb.ln.g`, `emb.ln.b`.
+    emb_ln: [ParamId; 2],
+    layers: Vec<LayerIds>,
+    /// `head.w`, `head.b`.
+    head: [ParamId; 2],
+}
+
+/// One encoder layer's parameter ids, each group in binding order, and the
+/// layer's two scope names.
+#[derive(Clone)]
+struct LayerIds {
+    attn_scope: String,
+    ffn_scope: String,
+    /// `wq, bq, wk, bk, wv, bv, wo, bo`.
+    attn: [ParamId; 8],
+    /// `ln1.g`, `ln1.b`.
+    ln1: [ParamId; 2],
+    /// `w1, b1, w2, b2`.
+    ffn: [ParamId; 4],
+    /// `ln2.g`, `ln2.b`.
+    ln2: [ParamId; 2],
+}
+
+impl ParamIds {
+    /// Resolves every parameter `config` uses.
+    ///
+    /// # Panics
+    /// Panics naming the first parameter `store` lacks.
+    fn resolve(store: &ParamStore, config: &TransformerConfig) -> Self {
+        let id = |name: &str| store.id(name).unwrap_or_else(|| panic!("missing parameter {name}"));
+        let layers = (0..config.n_layers)
+            .map(|l| LayerIds {
+                attn_scope: format!("l{l}.attn"),
+                ffn_scope: format!("l{l}.ffn"),
+                attn: ["wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
+                    .map(|w| id(&format!("l{l}.attn.{w}"))),
+                ln1: ["g", "b"].map(|w| id(&format!("l{l}.ln1.{w}"))),
+                ffn: ["w1", "b1", "w2", "b2"].map(|w| id(&format!("l{l}.ffn.{w}"))),
+                ln2: ["g", "b"].map(|w| id(&format!("l{l}.ln2.{w}"))),
+            })
+            .collect();
+        ParamIds {
+            emb: [id("emb.tok"), id("emb.pos")],
+            seg: (config.family == ModelFamily::Bert).then(|| id("emb.seg")),
+            emb_ln: [id("emb.ln.g"), id("emb.ln.b")],
+            layers,
+            head: [id("head.w"), id("head.b")],
+        }
+    }
 }
 
 /// Where dropout masks come from during a forward pass.
@@ -104,20 +164,19 @@ impl TokenClassifier {
         store.register("head.w", xavier_uniform(&mut rng, d, num_classes));
         store.register("head.b", Tensor::zeros(&[num_classes]));
 
-        TokenClassifier { config, num_classes, store }
+        Self::from_store(config, num_classes, store)
     }
 
     /// Rebuilds a model from persisted parts (see
     /// [`TransformerExtractor::save_text`](super::TransformerExtractor::save_text)).
     ///
     /// # Panics
-    /// Panics if the store is missing expected parameters.
+    /// Panics naming the first parameter the config needs that the store
+    /// lacks.
     pub fn from_store(config: TransformerConfig, num_classes: usize, store: ParamStore) -> Self {
         config.validate();
-        for required in ["emb.tok", "emb.pos", "head.w", "head.b"] {
-            assert!(store.id(required).is_some(), "missing parameter {required}");
-        }
-        TokenClassifier { config, num_classes, store }
+        let ids = ParamIds::resolve(&store, &config);
+        TokenClassifier { config, num_classes, store, ids }
     }
 
     /// The model configuration.
@@ -145,10 +204,6 @@ impl TokenClassifier {
         self.store.num_weights()
     }
 
-    fn id(&self, name: &str) -> ParamId {
-        self.store.id(name).unwrap_or_else(|| panic!("missing parameter {name}"))
-    }
-
     /// Replaces the classification head with a freshly initialized one for
     /// `num_classes` outputs, keeping the encoder and embeddings — the
     /// standard pretrain-then-fine-tune weight surgery.
@@ -156,8 +211,7 @@ impl TokenClassifier {
         assert!(num_classes > 0);
         let mut rng = Rng::seed_from_u64(seed.wrapping_add(0x9e3779b9));
         let d = self.config.d_model;
-        let w_id = self.id("head.w");
-        let b_id = self.id("head.b");
+        let [w_id, b_id] = self.ids.head;
         self.store.replace(w_id, xavier_uniform(&mut rng, d, num_classes));
         self.store.replace(b_id, Tensor::zeros(&[num_classes]));
         self.num_classes = num_classes;
@@ -167,9 +221,9 @@ impl TokenClassifier {
     /// returning the `[n, num_classes]` logits variable. When `dropout_rng`
     /// is provided the model runs in training mode with inverted dropout.
     ///
-    /// Generic over [`TapeOps`], so the same code path drives both the eager
-    /// autograd [`Tape`] and the gs-check symbolic tape (shape-only tracing
-    /// with no value computation).
+    /// Generic over [`TapeOps`], so the same code path drives the eager
+    /// autograd [`Tape`], the values-only [`Evaluator`](gs_tensor::Evaluator) and the gs-check
+    /// symbolic tape (shape-only tracing with no value computation).
     pub fn forward<T: TapeOps>(
         &self,
         tape: &T,
@@ -181,7 +235,7 @@ impl TokenClassifier {
             Some(rng) => DropoutSource::Rng(rng),
             None => DropoutSource::Off,
         };
-        self.forward_impl(tape, binder, ids, &mut source)
+        self.forward_one(tape, binder, ids, &mut source)
     }
 
     /// [`forward`](Self::forward) with dropout masks pre-drawn by
@@ -203,7 +257,35 @@ impl TokenClassifier {
     ) -> Var {
         let mut source =
             if masks.is_empty() { DropoutSource::Off } else { DropoutSource::Masks(masks.iter()) };
-        self.forward_impl(tape, binder, ids, &mut source)
+        self.forward_one(tape, binder, ids, &mut source)
+    }
+
+    /// Runs the encoder over several sequences packed into one `[rows, d]`
+    /// block, returning the `[rows, num_classes]` logits variable in input
+    /// order. Empty sequences contribute no rows and longer ones are cut to
+    /// `max_len`. The row-wise layers (embeddings, projections, layer
+    /// norms, the head) run as one large product over every row, while
+    /// attention stays within each sequence, so each sequence's rows equal
+    /// a [`forward`](Self::forward) over it alone. This is the serving path
+    /// (on the [`Evaluator`](gs_tensor::Evaluator)); it never applies dropout.
+    ///
+    /// # Panics
+    /// Panics if every sequence is empty.
+    pub fn forward_batch<T: TapeOps>(
+        &self,
+        tape: &T,
+        binder: &mut Binder<'_, T>,
+        seqs: &[&[usize]],
+    ) -> Var {
+        let (mut ids, mut positions, mut spans) = (Vec::new(), Vec::new(), Vec::new());
+        for seq in seqs.iter().filter(|seq| !seq.is_empty()) {
+            let n = seq.len().min(self.config.max_len);
+            spans.push((ids.len(), n));
+            ids.extend_from_slice(&seq[..n]);
+            positions.extend(0..n);
+        }
+        assert!(!ids.is_empty(), "no tokens to run");
+        self.forward_impl(tape, binder, &ids, &positions, &spans, &mut DropoutSource::Off)
     }
 
     /// Draws the dropout masks one [`forward`](Self::forward) over an
@@ -229,7 +311,8 @@ impl TokenClassifier {
             .collect()
     }
 
-    fn forward_impl<T: TapeOps>(
+    /// One sequence as a packed block of one.
+    fn forward_one<T: TapeOps>(
         &self,
         tape: &T,
         binder: &mut Binder<'_, T>,
@@ -239,36 +322,48 @@ impl TokenClassifier {
         let n = ids.len();
         assert!(n > 0, "empty input sequence");
         assert!(n <= self.config.max_len, "sequence of {n} exceeds max_len");
-        let d = self.config.d_model;
+        let positions: Vec<usize> = (0..n).collect();
+        self.forward_impl(tape, binder, ids, &positions, &[(0, n)], dropout)
+    }
+
+    /// The encoder: `ids` and their in-sequence `positions` are the packed
+    /// rows, and `seqs` lists each sequence's `(start, len)` rows.
+    fn forward_impl<T: TapeOps>(
+        &self,
+        tape: &T,
+        binder: &mut Binder<'_, T>,
+        ids: &[usize],
+        positions: &[usize],
+        seqs: &[(usize, usize)],
+        dropout: &mut DropoutSource<'_>,
+    ) -> Var {
+        let rows = ids.len();
+        let shape = [rows, self.config.d_model];
 
         // Embeddings.
         tape.push_scope("emb");
-        let tok_table = binder.bind(&self.store, self.id("emb.tok"));
-        let pos_table = binder.bind(&self.store, self.id("emb.pos"));
+        let [tok_table, pos_table] = self.ids.emb.map(|id| binder.bind(&self.store, id));
         let tok = tape.embed_gather(tok_table, ids);
-        let positions: Vec<usize> = (0..n).collect();
-        let pos = tape.embed_gather(pos_table, &positions);
+        let pos = tape.embed_gather(pos_table, positions);
         let mut h = tape.add(tok, pos);
-        if self.config.family == ModelFamily::Bert {
-            let seg_table = binder.bind(&self.store, self.id("emb.seg"));
+        if let Some(seg) = self.ids.seg {
+            let seg_table = binder.bind(&self.store, seg);
             // Single-segment inputs: all segment ids are 0.
-            let seg = tape.embed_gather(seg_table, &vec![0; n]);
+            let seg = tape.embed_gather(seg_table, &vec![0; rows]);
             h = tape.add(h, seg);
         }
-        let g = binder.bind(&self.store, self.id("emb.ln.g"));
-        let b = binder.bind(&self.store, self.id("emb.ln.b"));
+        let [g, b] = self.ids.emb_ln.map(|id| binder.bind(&self.store, id));
         h = tape.layer_norm(h, g, b);
-        h = self.maybe_dropout(tape, h, dropout, &[n, d]);
+        h = self.maybe_dropout(tape, h, dropout, &shape);
         tape.pop_scope();
 
-        for l in 0..self.config.n_layers {
-            h = self.attention_block(tape, binder, h, l, n, dropout);
-            h = self.ffn_block(tape, binder, h, l, n, dropout);
+        for layer in &self.ids.layers {
+            h = self.attention_block(tape, binder, h, layer, seqs, dropout, &shape);
+            h = self.ffn_block(tape, binder, h, layer, dropout, &shape);
         }
 
         tape.push_scope("head");
-        let w = binder.bind(&self.store, self.id("head.w"));
-        let bh = binder.bind(&self.store, self.id("head.b"));
+        let [w, bh] = self.ids.head.map(|id| binder.bind(&self.store, id));
         let logits = tape.matmul(h, w);
         let out = tape.add_bias(logits, bh);
         tape.pop_scope();
@@ -280,47 +375,25 @@ impl TokenClassifier {
         tape: &T,
         binder: &mut Binder<'_, T>,
         h: Var,
-        layer: usize,
-        n: usize,
+        layer: &LayerIds,
+        seqs: &[(usize, usize)],
         dropout: &mut DropoutSource<'_>,
+        shape: &[usize],
     ) -> Var {
-        let d = self.config.d_model;
-        let dh = self.config.d_head();
-        let bind =
-            |binder: &mut Binder<'_, T>, name: String| binder.bind(&self.store, self.id(&name));
-        tape.push_scope(&format!("l{layer}.attn"));
-
-        let wq = bind(binder, format!("l{layer}.attn.wq"));
-        let bq = bind(binder, format!("l{layer}.attn.bq"));
-        let wk = bind(binder, format!("l{layer}.attn.wk"));
-        let bk = bind(binder, format!("l{layer}.attn.bk"));
-        let wv = bind(binder, format!("l{layer}.attn.wv"));
-        let bv = bind(binder, format!("l{layer}.attn.bv"));
-        let wo = bind(binder, format!("l{layer}.attn.wo"));
-        let bo = bind(binder, format!("l{layer}.attn.bo"));
+        tape.push_scope(&layer.attn_scope);
+        let [wq, bq, wk, bk, wv, bv, wo, bo] = layer.attn.map(|id| binder.bind(&self.store, id));
 
         let q = tape.add_bias(tape.matmul(h, wq), bq);
         let k = tape.add_bias(tape.matmul(h, wk), bk);
         let v = tape.add_bias(tape.matmul(h, wv), bv);
 
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut heads = Vec::with_capacity(self.config.n_heads);
-        for head in 0..self.config.n_heads {
-            let (s, e) = (head * dh, (head + 1) * dh);
-            let qh = tape.slice_cols(q, s, e);
-            let kh = tape.slice_cols(k, s, e);
-            let vh = tape.slice_cols(v, s, e);
-            let scores = tape.scale(tape.matmul_transb(qh, kh), scale);
-            let attn = tape.softmax_last_dim(scores);
-            heads.push(tape.matmul(attn, vh));
-        }
-        let concat = tape.concat_cols(&heads);
-        let mut out = tape.add_bias(tape.matmul(concat, wo), bo);
-        out = self.maybe_dropout(tape, out, dropout, &[n, d]);
+        let scale = 1.0 / (self.config.d_head() as f32).sqrt();
+        let mixed = tape.attention(q, k, v, seqs, self.config.n_heads, scale);
+        let mut out = tape.add_bias(tape.matmul(mixed, wo), bo);
+        out = self.maybe_dropout(tape, out, dropout, shape);
 
         let sum = tape.add(h, out);
-        let g = bind(binder, format!("l{layer}.ln1.g"));
-        let b = bind(binder, format!("l{layer}.ln1.b"));
+        let [g, b] = layer.ln1.map(|id| binder.bind(&self.store, id));
         let normed = tape.layer_norm(sum, g, b);
         tape.pop_scope();
         normed
@@ -331,26 +404,19 @@ impl TokenClassifier {
         tape: &T,
         binder: &mut Binder<'_, T>,
         h: Var,
-        layer: usize,
-        n: usize,
+        layer: &LayerIds,
         dropout: &mut DropoutSource<'_>,
+        shape: &[usize],
     ) -> Var {
-        let d = self.config.d_model;
-        let bind =
-            |binder: &mut Binder<'_, T>, name: String| binder.bind(&self.store, self.id(&name));
-        tape.push_scope(&format!("l{layer}.ffn"));
-        let w1 = bind(binder, format!("l{layer}.ffn.w1"));
-        let b1 = bind(binder, format!("l{layer}.ffn.b1"));
-        let w2 = bind(binder, format!("l{layer}.ffn.w2"));
-        let b2 = bind(binder, format!("l{layer}.ffn.b2"));
+        tape.push_scope(&layer.ffn_scope);
+        let [w1, b1, w2, b2] = layer.ffn.map(|id| binder.bind(&self.store, id));
 
         let inner = tape.gelu(tape.add_bias(tape.matmul(h, w1), b1));
         let mut out = tape.add_bias(tape.matmul(inner, w2), b2);
-        out = self.maybe_dropout(tape, out, dropout, &[n, d]);
+        out = self.maybe_dropout(tape, out, dropout, shape);
 
         let sum = tape.add(h, out);
-        let g = bind(binder, format!("l{layer}.ln2.g"));
-        let b = bind(binder, format!("l{layer}.ln2.b"));
+        let [g, b] = layer.ln2.map(|id| binder.bind(&self.store, id));
         let normed = tape.layer_norm(sum, g, b);
         tape.pop_scope();
         normed
@@ -430,6 +496,14 @@ impl TokenClassifier {
         packed.unpack_classes(seqs, &classes)
     }
 
+    /// `forward_packed`'s logits over `seqs`, for the evaluator equivalence
+    /// test.
+    #[doc(hidden)]
+    pub fn forward_packed_logits(&self, seqs: &[&[usize]]) -> Tensor {
+        let packed = pack_sequences(seqs, self.config.max_len);
+        self.forward_packed(&packed.flat_ids, &packed.positions, &packed.ranges)
+    }
+
     /// The packed inference forward shared by
     /// [`predict_classes_batch`](Self::predict_classes_batch): returns the
     /// `[total_tokens, num_classes]` logits. Every operation replicates
@@ -441,7 +515,7 @@ impl TokenClassifier {
         positions: &[usize],
         ranges: &[Option<(usize, usize)>],
     ) -> Tensor {
-        let p = |name: &str| self.store.value(self.id(name));
+        let p = |name: &str| self.store.value(self.store.id(name).expect("parameter"));
         let d = self.config.d_model;
         let dh = self.config.d_head();
         let seq_ranges: Vec<(usize, usize)> = ranges.iter().flatten().copied().collect();

@@ -233,6 +233,21 @@ pub fn time<R>(name: &'static str, cost: Cost, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Runs `f` as op `op` under the explicit `path` when `on` is set (callers
+/// latch [`enabled`] once per forward, so a mid-forward toggle is harmless
+/// and the disabled path is one branch). Explicit paths let pool workers
+/// record under scopes opened on the coordinating thread.
+#[inline]
+pub fn time_at<R>(on: bool, path: &str, op: &'static str, cost: Cost, f: impl FnOnce() -> R) -> R {
+    if !on {
+        return f();
+    }
+    let start = Instant::now();
+    let out = f();
+    record_at(path, op, start.elapsed().as_nanos() as u64, cost);
+    out
+}
+
 /// Records one completed invocation of `op` under an explicit `path` with a
 /// pre-measured duration. The tape's backward pass uses this: gradient arms
 /// run far from the scope stack that was live during the forward pass, but

@@ -139,6 +139,19 @@ pub enum OpKind {
         /// Input.
         x: usize,
     },
+    /// Multi-head self-attention within each packed sequence.
+    Attention {
+        /// Queries.
+        q: usize,
+        /// Keys.
+        k: usize,
+        /// Values.
+        v: usize,
+        /// Each sequence's `(start, len)` rows.
+        seqs: Vec<(usize, usize)>,
+        /// Number of heads the width splits into.
+        n_heads: usize,
+    },
     /// Token-masked mean cross-entropy.
     CrossEntropy {
         /// Logits node.
@@ -173,6 +186,7 @@ impl OpKind {
             OpKind::SliceCols { .. } => "slice_cols",
             OpKind::MeanAll { .. } => "mean_all",
             OpKind::SumAll { .. } => "sum_all",
+            OpKind::Attention { .. } => "attention",
             OpKind::CrossEntropy { .. } => "cross_entropy",
         }
     }
@@ -197,6 +211,7 @@ impl OpKind {
             | OpKind::MeanAll { x }
             | OpKind::SumAll { x } => vec![*x],
             OpKind::LayerNorm { x, gamma, beta } => vec![*x, *gamma, *beta],
+            OpKind::Attention { q, k, v, .. } => vec![*q, *k, *v],
             OpKind::EmbedGather { table, .. } => vec![*table],
             OpKind::ConcatCols { parts } => parts.clone(),
             OpKind::CrossEntropy { logits, .. } => vec![*logits],
@@ -306,6 +321,9 @@ pub fn infer_shape(
         }
         OpKind::SliceCols { x, start, end } => shape::slice_cols(&need!(*x), *start, *end)?,
         OpKind::MeanAll { x } | OpKind::SumAll { x } => shape::reduce_all(&need!(*x))?,
+        OpKind::Attention { q, k, v, seqs, n_heads } => {
+            shape::attention(&need!(*q), &need!(*k), &need!(*v), seqs, *n_heads)?
+        }
         OpKind::CrossEntropy { logits, num_targets, max_target } => {
             shape::cross_entropy(&need!(*logits), *num_targets, *max_target)?
         }

@@ -8,6 +8,8 @@
 //!   transformer needs (matmul variants, softmax, layer-norm helpers).
 //! - [`Tape`] / [`Var`]: a flat autograd tape; every op's backward rule is
 //!   verified against finite differences in unit tests.
+//! - [`Evaluator`]: the values-only counterpart that serves inference from
+//!   the same [`TapeOps`] model code, over packed multi-sequence batches.
 //! - [`ParamStore`] / [`Optimizer`]: named parameters, gradient
 //!   accumulation/clipping, SGD and Adam, warmup-linear LR schedules.
 //! - [`shape`] / [`graph`]: shape rules and an exportable graph mirror,
@@ -19,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+mod eval;
 mod init;
 mod optim;
 mod tape;
@@ -39,6 +42,7 @@ pub mod serialize;
 /// Shape rules shared by runtime checks and static analysis.
 pub mod shape;
 
+pub use eval::Evaluator;
 pub use graph::{infer_shape, Graph, GraphNode, OpKind};
 pub use init::{normal, ones, xavier_uniform, zeros};
 pub use kernels::{exact_gelu, kernel_mode, set_exact_gelu, set_kernel_mode, KernelMode};

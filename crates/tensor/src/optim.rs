@@ -157,8 +157,9 @@ impl ParamStore {
 /// Binds store parameters to tape leaves for one forward/backward pass.
 ///
 /// Generic over [`TapeOps`] so the same model code can bind onto the eager
-/// [`Tape`] (the default) or a symbolic shape-only recorder; leaves carry
-/// the parameter name as a label for provenance in analysis output.
+/// [`Tape`] (the default), the values-only evaluator or a symbolic
+/// shape-only recorder; leaves carry the parameter name as a label for
+/// provenance in analysis output.
 pub struct Binder<'t, T: TapeOps = Tape> {
     tape: &'t T,
     bindings: Vec<(ParamId, Var)>,
@@ -170,10 +171,10 @@ impl<'t, T: TapeOps> Binder<'t, T> {
         Binder { tape, bindings: Vec::new() }
     }
 
-    /// Places the current value of `id` on the tape as a trainable leaf
-    /// labeled with the parameter's name.
+    /// Binds parameter `id` on the tape as a trainable leaf labeled with
+    /// the parameter's name ([`TapeOps::param`]).
     pub fn bind(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let var = self.tape.leaf_labeled(store.value(id), store.name(id));
+        let var = self.tape.param(store, id);
         self.bindings.push((id, var));
         var
     }

@@ -209,6 +209,46 @@ pub fn slice_cols(x: &[usize], start: usize, end: usize) -> ShapeResult {
     Ok(vec![x[0], end - start])
 }
 
+/// `attention`: equal rank-2 `q`, `k`, `v` of shape `[rows, d]`, `d`
+/// divisible by `n_heads`, and `seqs` (each sequence's `(start, len)` rows)
+/// tiling `0..rows` in order with non-empty sequences. Output `[rows, d]`.
+pub fn attention(
+    q: &[usize],
+    k: &[usize],
+    v: &[usize],
+    seqs: &[(usize, usize)],
+    n_heads: usize,
+) -> ShapeResult {
+    require_rank2("attention", "queries", q)?;
+    for (side, s) in [("keys", k), ("values", v)] {
+        if s != q {
+            return Err(ShapeError::new(
+                "attention",
+                format!("{side} {} do not match queries {}", fmt_shape(s), fmt_shape(q)),
+            ));
+        }
+    }
+    if n_heads == 0 || !q[1].is_multiple_of(n_heads) {
+        return Err(ShapeError::new(
+            "attention",
+            format!("width {} does not split into {n_heads} heads", q[1]),
+        ));
+    }
+    let not_tiled =
+        || ShapeError::new("attention", format!("sequences {seqs:?} do not tile {} rows", q[0]));
+    let mut next = 0;
+    for &(start, len) in seqs {
+        if start != next || len == 0 {
+            return Err(not_tiled());
+        }
+        next += len;
+    }
+    if next != q[0] {
+        return Err(not_tiled());
+    }
+    Ok(q.to_vec())
+}
+
 /// Full reductions (`mean_all`, `sum_all`): any input, scalar output.
 pub fn reduce_all(_x: &[usize]) -> ShapeResult {
     Ok(Vec::new())
@@ -260,6 +300,7 @@ mod tests {
         assert_eq!(slice_cols(&[2, 8], 2, 5).unwrap(), vec![2, 3]);
         assert_eq!(cross_entropy(&[4, 3], 4, Some(2)).unwrap(), Vec::<usize>::new());
         assert!(cross_entropy(&[4, 3], 4, Some(-1)).is_ok());
+        assert_eq!(attention(&[5, 8], &[5, 8], &[5, 8], &[(0, 2), (2, 3)], 4).unwrap(), vec![5, 8]);
     }
 
     #[test]
@@ -277,5 +318,11 @@ mod tests {
         assert!(slice_cols(&[2, 8], 5, 9).is_err());
         assert!(cross_entropy(&[4, 3], 5, None).is_err());
         assert!(cross_entropy(&[4, 3], 4, Some(3)).is_err());
+        let qkv = [5, 8];
+        assert!(attention(&qkv, &[5, 8], &[4, 8], &[(0, 5)], 2).is_err());
+        assert!(attention(&qkv, &qkv, &qkv, &[(0, 5)], 3).is_err());
+        assert!(attention(&qkv, &qkv, &qkv, &[(0, 2), (3, 2)], 2).is_err());
+        assert!(attention(&qkv, &qkv, &qkv, &[(0, 5), (5, 0)], 2).is_err());
+        assert!(attention(&qkv, &qkv, &qkv, &[(0, 4)], 2).is_err());
     }
 }

@@ -14,6 +14,7 @@
 use crate::arena;
 use crate::cost;
 use crate::graph::{Graph, GraphNode, OpKind};
+use crate::optim::{ParamId, ParamStore};
 use crate::sanitize::{self, NumericIssue, SanitizePhase};
 use crate::shape::{self, ShapeError};
 use crate::tensor::{Tensor, ELEMWISE_PAR_CUTOFF};
@@ -224,10 +225,41 @@ fn bwd_cost(op: &Op, nodes: &[Node], gout_len: usize) -> prof::Cost {
 
 /// Panics with the rule's error text on a shape violation — the eager
 /// counterpart of a gs-check finding, with an identical message.
-fn enforce(result: Result<Vec<usize>, ShapeError>) {
+pub(crate) fn enforce(result: Result<Vec<usize>, ShapeError>) {
     if let Err(e) = result {
         panic!("{e}");
     }
+}
+
+/// `x + bias` with the `[d]` bias added to every row of `[n, d]` `x`.
+pub(crate) fn plus_bias(x: &Tensor, bias: &Tensor) -> Tensor {
+    let mut out = x.clone();
+    for i in 0..out.rows() {
+        for (o, &bv) in out.row_mut(i).iter_mut().zip(bias.data()) {
+            *o += bv;
+        }
+    }
+    out
+}
+
+/// Layer-normalizes one row into `out` (`(x - mean) * istd * gamma + beta`)
+/// and returns the row's `(mean, istd)`, so the tape can keep the
+/// normalized values for backward.
+pub(crate) fn normalize_row(
+    row: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    out: &mut [f32],
+) -> (f32, f32) {
+    const EPS: f32 = 1e-5;
+    let d = row.len();
+    let mean: f32 = row.iter().sum::<f32>() / d as f32;
+    let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+    let istd = 1.0 / (var + EPS).sqrt();
+    for j in 0..d {
+        out[j] = (row[j] - mean) * istd * gamma[j] + beta[j];
+    }
+    (mean, istd)
 }
 
 /// Gradient results of a backward pass, indexed by [`Var`].
@@ -485,13 +517,7 @@ impl Tape {
         let (vx, vb) = (self.value_rc(x), self.value_rc(bias));
         enforce(shape::add_bias(vx.shape(), vb.shape()));
         timer.set_cost(cost::zip(vx.len(), 1));
-        let mut out = (*vx).clone();
-        for i in 0..out.rows() {
-            for (o, &bv) in out.row_mut(i).iter_mut().zip(vb.data()) {
-                *o += bv;
-            }
-        }
-        self.push(out, Op::AddBias(x.index(), bias.index()))
+        self.push(plus_bias(&vx, &vb), Op::AddBias(x.index(), bias.index()))
     }
 
     /// Elementwise subtraction of equal shapes.
@@ -584,7 +610,6 @@ impl Tape {
     /// Layer normalization over the last dimension with learned `gamma` and
     /// `beta` (both rank-1 of the last-dimension width).
     pub fn layer_norm(&self, x: Var, gamma: Var, beta: Var) -> Var {
-        const EPS: f32 = 1e-5;
         let mut timer = self.prof_op("layer_norm");
         let vx = self.value_rc(x);
         let vg = self.value_rc(gamma);
@@ -599,14 +624,10 @@ impl Tape {
         let (x_data, g_data, b_data) = (vx.data(), vg.data(), vb.data());
         let ln_row = |r: usize, xhat_row: &mut [f32], out_row: &mut [f32], istd_out: &mut f32| {
             let row = &x_data[r * d..(r + 1) * d];
-            let mean: f32 = row.iter().sum::<f32>() / d as f32;
-            let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let istd = 1.0 / (var + EPS).sqrt();
+            let (mean, istd) = normalize_row(row, g_data, b_data, out_row);
             *istd_out = istd;
-            for j in 0..d {
-                let xh = (row[j] - mean) * istd;
-                xhat_row[j] = xh;
-                out_row[j] = xh * g_data[j] + b_data[j];
+            for (xh, &v) in xhat_row.iter_mut().zip(row) {
+                *xh = (v - mean) * istd;
             }
         };
         if rows_par_worthwhile(n, vx.len()) {
@@ -686,6 +707,44 @@ impl Tape {
         timer.set_cost(cost::copy(vx.rows() * (end - start)));
         let out = vx.slice_cols(start, end);
         self.push(out, Op::SliceCols { x: x.index(), start })
+    }
+
+    /// Multi-head self-attention over one sequence: per head, the column
+    /// slices of `q`, `k` and `v`, `softmax(q kᵀ · scale) v`, then the heads
+    /// concatenated. Recorded as those per-head nodes, so backward composes
+    /// their gradients.
+    ///
+    /// # Panics
+    /// Panics on a [`shape::attention`] violation, or if `seqs` holds more
+    /// than one sequence.
+    pub fn attention(
+        &self,
+        q: Var,
+        k: Var,
+        v: Var,
+        seqs: &[(usize, usize)],
+        n_heads: usize,
+        scale: f32,
+    ) -> Var {
+        let width = {
+            let (vq, vk, vv) = (self.value_rc(q), self.value_rc(k), self.value_rc(v));
+            enforce(shape::attention(vq.shape(), vk.shape(), vv.shape(), seqs, n_heads));
+            vq.cols()
+        };
+        assert_eq!(seqs.len(), 1, "the tape runs attention over one sequence");
+        let dh = width / n_heads;
+        let heads: Vec<Var> = (0..n_heads)
+            .map(|head| {
+                let (s, e) = (head * dh, (head + 1) * dh);
+                let qh = self.slice_cols(q, s, e);
+                let kh = self.slice_cols(k, s, e);
+                let vh = self.slice_cols(v, s, e);
+                let scores = self.scale(self.matmul_transb(qh, kh), scale);
+                let attn = self.softmax_last_dim(scores);
+                self.matmul(attn, vh)
+            })
+            .collect();
+        self.concat_cols(&heads)
     }
 
     /// Mean over all elements.
@@ -1053,59 +1112,44 @@ fn export_kind(node: &Node) -> OpKind {
     }
 }
 
-/// The op surface shared by the eager [`Tape`] and shape-only recorders.
+/// The op surface generic model code runs on.
 ///
-/// Model code written against this trait (e.g. `TokenClassifier::forward`)
-/// can run eagerly for training *and* be traced symbolically by gs-check's
-/// `SymTape` to validate every shape in milliseconds without touching tensor
-/// data. Methods mirror the inherent `Tape` API one-to-one.
+/// Model code written against this trait (`TokenClassifier::forward_impl`)
+/// runs on three implementations: the eager autograd [`Tape`] for training,
+/// the values-only [`Evaluator`](crate::Evaluator) for serving, and
+/// gs-check's `SymTape`, which traces shapes in milliseconds without
+/// touching tensor data. The trait holds exactly the ops that code calls;
+/// other ops are inherent methods of the implementations that have them.
 pub trait TapeOps {
-    /// Records a trainable leaf.
-    fn leaf(&self, value: Tensor) -> Var;
-    /// Records a constant leaf.
-    fn constant(&self, value: Tensor) -> Var;
-    /// Records a trainable leaf with a parameter label.
-    fn leaf_labeled(&self, value: &Tensor, label: &str) -> Var;
-    /// Records a labeled constant leaf.
-    fn constant_labeled(&self, value: &Tensor, label: &str) -> Var;
+    /// Binds parameter `id` of `store` as a trainable leaf labeled with its
+    /// name.
+    fn param(&self, store: &ParamStore, id: ParamId) -> Var;
     /// Elementwise `a + b`.
     fn add(&self, a: Var, b: Var) -> Var;
     /// `[n, d] + [d]` broadcast.
     fn add_bias(&self, x: Var, bias: Var) -> Var;
-    /// Elementwise `a - b`.
-    fn sub(&self, a: Var, b: Var) -> Var;
-    /// Elementwise `a * b`.
-    fn mul(&self, a: Var, b: Var) -> Var;
-    /// Multiplication by a scalar constant.
-    fn scale(&self, a: Var, c: f32) -> Var;
     /// `[m, k] x [k, n]`.
     fn matmul(&self, a: Var, b: Var) -> Var;
-    /// `[m, k] x [n, k]^T`.
-    fn matmul_transb(&self, a: Var, b: Var) -> Var;
-    /// Elementwise ReLU.
-    fn relu(&self, a: Var) -> Var;
     /// Elementwise GELU.
     fn gelu(&self, a: Var) -> Var;
-    /// Elementwise tanh.
-    fn tanh(&self, a: Var) -> Var;
-    /// Softmax over the last dimension.
-    fn softmax_last_dim(&self, a: Var) -> Var;
     /// Layer normalization with learned gain/bias.
     fn layer_norm(&self, x: Var, gamma: Var, beta: Var) -> Var;
     /// Row gather from an embedding table.
     fn embed_gather(&self, table: Var, ids: &[usize]) -> Var;
     /// Inverted dropout with a precomputed mask.
     fn dropout_with_mask(&self, x: Var, mask: Tensor) -> Var;
-    /// Column-wise concatenation.
-    fn concat_cols(&self, parts: &[Var]) -> Var;
-    /// Column slice `[start, end)`.
-    fn slice_cols(&self, x: Var, start: usize, end: usize) -> Var;
-    /// Mean over all elements.
-    fn mean_all(&self, x: Var) -> Var;
-    /// Sum over all elements.
-    fn sum_all(&self, x: Var) -> Var;
-    /// Token-masked mean cross-entropy.
-    fn cross_entropy(&self, logits: Var, targets: &[i64]) -> Var;
+    /// Multi-head self-attention of `q`, `k`, `v` (`[rows, d]`) within each
+    /// sequence of `seqs` (`(start, len)` rows tiling `0..rows`), with
+    /// scores scaled by `scale`; the shape rule is [`shape::attention`].
+    fn attention(
+        &self,
+        q: Var,
+        k: Var,
+        v: Var,
+        seqs: &[(usize, usize)],
+        n_heads: usize,
+        scale: f32,
+    ) -> Var;
     /// Enters a named provenance scope.
     fn push_scope(&self, name: &str);
     /// Leaves the innermost scope.
@@ -1113,17 +1157,8 @@ pub trait TapeOps {
 }
 
 impl TapeOps for Tape {
-    fn leaf(&self, value: Tensor) -> Var {
-        Tape::leaf(self, value)
-    }
-    fn constant(&self, value: Tensor) -> Var {
-        Tape::constant(self, value)
-    }
-    fn leaf_labeled(&self, value: &Tensor, label: &str) -> Var {
-        Tape::leaf_labeled(self, value, label)
-    }
-    fn constant_labeled(&self, value: &Tensor, label: &str) -> Var {
-        Tape::constant_labeled(self, value, label)
+    fn param(&self, store: &ParamStore, id: ParamId) -> Var {
+        Tape::leaf_labeled(self, store.value(id), store.name(id))
     }
     fn add(&self, a: Var, b: Var) -> Var {
         Tape::add(self, a, b)
@@ -1131,32 +1166,11 @@ impl TapeOps for Tape {
     fn add_bias(&self, x: Var, bias: Var) -> Var {
         Tape::add_bias(self, x, bias)
     }
-    fn sub(&self, a: Var, b: Var) -> Var {
-        Tape::sub(self, a, b)
-    }
-    fn mul(&self, a: Var, b: Var) -> Var {
-        Tape::mul(self, a, b)
-    }
-    fn scale(&self, a: Var, c: f32) -> Var {
-        Tape::scale(self, a, c)
-    }
     fn matmul(&self, a: Var, b: Var) -> Var {
         Tape::matmul(self, a, b)
     }
-    fn matmul_transb(&self, a: Var, b: Var) -> Var {
-        Tape::matmul_transb(self, a, b)
-    }
-    fn relu(&self, a: Var) -> Var {
-        Tape::relu(self, a)
-    }
     fn gelu(&self, a: Var) -> Var {
         Tape::gelu(self, a)
-    }
-    fn tanh(&self, a: Var) -> Var {
-        Tape::tanh(self, a)
-    }
-    fn softmax_last_dim(&self, a: Var) -> Var {
-        Tape::softmax_last_dim(self, a)
     }
     fn layer_norm(&self, x: Var, gamma: Var, beta: Var) -> Var {
         Tape::layer_norm(self, x, gamma, beta)
@@ -1167,20 +1181,16 @@ impl TapeOps for Tape {
     fn dropout_with_mask(&self, x: Var, mask: Tensor) -> Var {
         Tape::dropout_with_mask(self, x, mask)
     }
-    fn concat_cols(&self, parts: &[Var]) -> Var {
-        Tape::concat_cols(self, parts)
-    }
-    fn slice_cols(&self, x: Var, start: usize, end: usize) -> Var {
-        Tape::slice_cols(self, x, start, end)
-    }
-    fn mean_all(&self, x: Var) -> Var {
-        Tape::mean_all(self, x)
-    }
-    fn sum_all(&self, x: Var) -> Var {
-        Tape::sum_all(self, x)
-    }
-    fn cross_entropy(&self, logits: Var, targets: &[i64]) -> Var {
-        Tape::cross_entropy(self, logits, targets)
+    fn attention(
+        &self,
+        q: Var,
+        k: Var,
+        v: Var,
+        seqs: &[(usize, usize)],
+        n_heads: usize,
+        scale: f32,
+    ) -> Var {
+        Tape::attention(self, q, k, v, seqs, n_heads, scale)
     }
     fn push_scope(&self, name: &str) {
         Tape::push_scope(self, name)
