@@ -187,7 +187,7 @@ pub fn analyze(graph: &Graph, loss: Option<Var>) -> Analysis {
 mod tests {
     use super::*;
     use crate::SymTape;
-    use gs_tensor::{TapeOps, Tensor};
+    use gs_tensor::Tensor;
 
     fn scalar_loss(sym: &SymTape, v: Var) -> Var {
         sym.mean_all(v)

@@ -49,7 +49,7 @@ pub fn check_tape(tape: &Tape, loss: Option<Var>) -> Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gs_tensor::{TapeOps, Tensor};
+    use gs_tensor::Tensor;
 
     #[test]
     fn check_traced_merges_recorder_and_graph_findings() {

@@ -110,7 +110,8 @@ impl SymTape {
     }
 }
 
-/// Ops the model code does not call; tests build graphs from them.
+/// Ops the model code does not call directly; tests build graphs from
+/// them.
 impl SymTape {
     /// Records a trainable leaf.
     pub fn leaf(&self, value: Tensor) -> Var {
@@ -127,6 +128,14 @@ impl SymTape {
     /// Records a labeled constant leaf.
     pub fn constant_labeled(&self, value: &Tensor, label: &str) -> Var {
         self.record_leaf(value, false, Some(label))
+    }
+    /// `[n, d] + [d]` broadcast.
+    pub fn add_bias(&self, x: Var, bias: Var) -> Var {
+        self.record(OpKind::AddBias { x: x.index(), bias: bias.index() })
+    }
+    /// `[m, k] x [k, n]`.
+    pub fn matmul(&self, a: Var, b: Var) -> Var {
+        self.record(OpKind::MatMul { a: a.index(), b: b.index() })
     }
     /// Elementwise `a * b`.
     pub fn mul(&self, a: Var, b: Var) -> Var {
@@ -177,11 +186,8 @@ impl TapeOps for SymTape {
     fn add(&self, a: Var, b: Var) -> Var {
         self.record(OpKind::Add { a: a.index(), b: b.index() })
     }
-    fn add_bias(&self, x: Var, bias: Var) -> Var {
-        self.record(OpKind::AddBias { x: x.index(), bias: bias.index() })
-    }
-    fn matmul(&self, a: Var, b: Var) -> Var {
-        self.record(OpKind::MatMul { a: a.index(), b: b.index() })
+    fn linear(&self, x: Var, w: Var, b: Var) -> Var {
+        self.add_bias(self.matmul(x, w), b)
     }
     fn gelu(&self, a: Var) -> Var {
         self.record(OpKind::Gelu { x: a.index() })
@@ -241,6 +247,7 @@ impl TapeOps for SymTape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gs_tensor::Evaluator;
 
     #[test]
     fn records_shapes_without_values() {
@@ -270,6 +277,29 @@ mod tests {
         let z = sym.relu(y);
         assert_eq!(sym.shape(z), None);
         assert_eq!(sym.findings().len(), 1);
+
+        // The serving shape: sequences that do not tile the rows, and a
+        // width that does not split into the heads. Each finding's message
+        // is the evaluator's panic message for the same call.
+        for (seqs, n_heads) in [(vec![(0, 2), (3, 1)], 2), (vec![(0, 4)], 4)] {
+            let shape = [4, 6];
+            let sym = SymTape::new();
+            let q = sym.leaf(Tensor::zeros(&shape));
+            let _ = sym.attention(q, q, q, &seqs, n_heads, 1.0);
+            let findings = sym.findings();
+            assert_eq!(findings.len(), 1);
+            assert_eq!(findings[0].op, "attention");
+
+            let mut store = ParamStore::new();
+            let id = store.register("q", Tensor::zeros(&shape));
+            let eager = std::panic::catch_unwind(|| {
+                let eval = Evaluator::new(&store);
+                let q = eval.param(&store, id);
+                eval.attention(q, q, q, &seqs, n_heads, 1.0)
+            })
+            .expect_err("the evaluator must reject the shape");
+            assert_eq!(eager.downcast_ref::<String>(), Some(&findings[0].message));
+        }
     }
 
     #[test]

@@ -1,35 +1,50 @@
 //! Pre-flight static validation of classifier configurations via gs-check.
 //!
-//! [`validate_classifier`] drives the *same* generic
-//! [`TokenClassifier::forward`] the trainer uses, but over a gs-check
-//! [`SymTape`]: every op's shapes are checked against the shared rules and
-//! the autograd graph is linted (dead parameters, detached heads, constants
-//! on the gradient path) — all in milliseconds, without computing a single
-//! activation. A RoBERTa-like or BERT-like config is validated end to end
-//! before any training or serving forward runs.
+//! [`validate_classifier`] drives the encoder's one definition, the
+//! generic forward that training records on the tape and serving runs on
+//! the evaluator, over a gs-check [`SymTape`]: every op's shapes are
+//! checked against the shared rules and the autograd graph is linted (dead
+//! parameters, detached heads, constants on the gradient path), all in
+//! milliseconds, without computing a single activation. A RoBERTa-like or
+//! BERT-like config is validated end to end before any training or serving
+//! forward runs.
 
 use super::model::TokenClassifier;
 use gs_check::{check_traced, Analysis, SymTape};
-use gs_tensor::Binder;
+use gs_tensor::{Binder, TapeOps};
 
-/// Symbolically traces one full-length forward plus the cross-entropy loss
-/// and returns the gs-check analysis. Ids sweep the vocabulary and the
-/// position table end to end; one target is `-1` to exercise the ignored
-///-position path.
+/// Symbolically traces the two ways the encoder runs and returns the
+/// gs-check analysis of both under one loss (their sum):
+///
+/// - training: one full-length sequence, whose ids sweep the vocabulary
+///   and the position table end to end, plus its cross-entropy with one
+///   target of `-1` to exercise the ignored-position path;
+/// - serving: a packed batch of a full-length, an over-length, an empty
+///   and a one-token sequence, so attention is traced over several
+///   sequences in one row block, plus its cross-entropy.
 pub fn validate_classifier(model: &TokenClassifier) -> Analysis {
     let store = model.store();
     let vocab =
         store.id("emb.tok").map(|id| store.value(id).rows()).expect("model has no emb.tok table");
     let n = model.config().max_len;
     let num_classes = model.num_classes();
+    let targets = |rows: usize| -> Vec<i64> {
+        let mut targets: Vec<i64> = (0..rows).map(|i| (i % num_classes) as i64).collect();
+        targets[0] = -1; // BOS-style ignored position
+        targets
+    };
 
     let sym = SymTape::new();
     let mut binder = Binder::new(&sym);
     let ids: Vec<usize> = (0..n).map(|i| i % vocab).collect();
     let logits = model.forward(&sym, &mut binder, &ids, None);
-    let mut targets: Vec<i64> = (0..n).map(|i| (i % num_classes) as i64).collect();
-    targets[0] = -1; // BOS-style ignored position
-    let loss = sym.cross_entropy(logits, &targets);
+    let train_loss = sym.cross_entropy(logits, &targets(n));
+
+    let long: Vec<usize> = (0..n + 3).map(|i| (i * 7) % vocab).collect();
+    let batch: [&[usize]; 4] = [&ids, &long, &[], &ids[..1]];
+    let logits = model.forward_batch(&sym, &mut binder, &batch);
+    let serve_loss = sym.cross_entropy(logits, &targets(2 * n + 1));
+    let loss = sym.add(train_loss, serve_loss);
     check_traced(sym, Some(loss))
 }
 

@@ -7,7 +7,7 @@
 //!   to words, decode structured details.
 
 use super::config::{ModelFamily, TrainConfig, TransformerConfig};
-use super::model::{timed, TokenClassifier};
+use super::model::TokenClassifier;
 use super::pretrain::PretrainedEncoder;
 use super::trainer::{train_token_classifier_cb, EpochStats, TrainExample};
 use crate::traits::DetailExtractor;
@@ -179,7 +179,7 @@ impl TransformerExtractor {
         // positionally identical to the serial loop.
         let prof_on = prof::enabled();
         let inputs: Vec<InferenceInput> = gs_par::map_collect(texts.len(), |i| {
-            timed(prof_on, "tokenize", "encode", prof::Cost::zero(), || {
+            prof::time_at(prof_on, "tokenize", "encode", prof::Cost::zero(), || {
                 encode_for_inference(
                     &self.tokenizer,
                     &self.case_normalizer,
@@ -194,7 +194,7 @@ impl TransformerExtractor {
             .into_iter()
             .zip(classes)
             .map(|(input, classes)| {
-                timed(prof_on, "decode", "collapse", prof::Cost::zero(), || {
+                prof::time_at(prof_on, "decode", "collapse", prof::Cost::zero(), || {
                     decode_predictions(&self.labels, input, &classes)
                 })
             })
@@ -300,11 +300,11 @@ fn predict_tags_impl(
     text: &str,
 ) -> (String, Vec<PreToken>, Vec<Tag>) {
     let prof_on = prof::enabled();
-    let input = timed(prof_on, "tokenize", "encode", prof::Cost::zero(), || {
+    let input = prof::time_at(prof_on, "tokenize", "encode", prof::Cost::zero(), || {
         encode_for_inference(tokenizer, case_normalizer, model.config().max_len, text)
     });
     let classes = model.predict_classes(&input.ids);
-    timed(prof_on, "decode", "collapse", prof::Cost::zero(), || {
+    prof::time_at(prof_on, "decode", "collapse", prof::Cost::zero(), || {
         decode_predictions(labels, input, &classes)
     })
 }

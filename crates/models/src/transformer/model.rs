@@ -1,5 +1,4 @@
-//! The transformer encoder with a token-classification head, built on the
-//! `gs-tensor` autograd tape.
+//! The transformer encoder with a token-classification head.
 //!
 //! Architecture (post-LayerNorm, as in BERT/RoBERTa):
 //!
@@ -8,36 +7,20 @@
 //! for each layer: h = LN(h + MHA(h)); h = LN(h + FFN(h))
 //! logits = h W_head + b_head            // [n, num_classes]
 //! ```
+//!
+//! The encoder is defined once, in `TokenClassifier::forward_impl`, generic
+//! over [`TapeOps`] and taking packed rows: token ids, their in-sequence
+//! positions, and each sequence's `(start, len)` rows. Training records it
+//! on the autograd [`Tape`](gs_tensor::Tape), one sequence per tape; serving evaluates it
+//! over a packed micro-batch on the values-only [`Evaluator`]; gs-check
+//! traces it shape-only on `SymTape`.
 
 use super::config::{ModelFamily, TransformerConfig};
 use gs_obs::prof;
 use gs_obs::Rng;
 use gs_tensor::{
-    cost, normal, xavier_uniform, Binder, ParamId, ParamStore, Tape, TapeOps, Tensor, Var,
+    cost, normal, xavier_uniform, Binder, Evaluator, ParamId, ParamStore, TapeOps, Tensor, Var,
 };
-use std::time::Instant;
-
-/// Runs `f` as profiler op `op` under the explicit `path` when `on` is set.
-///
-/// The packed forward keys ops by explicit paths instead of the thread-local
-/// scope stack because its attention inner loop fans out across gs-par
-/// workers, which never see scopes opened on the coordinating thread.
-#[inline]
-pub(crate) fn timed<R>(
-    on: bool,
-    path: &str,
-    op: &'static str,
-    cost: prof::Cost,
-    f: impl FnOnce() -> R,
-) -> R {
-    if !on {
-        return f();
-    }
-    let start = Instant::now();
-    let out = f();
-    prof::record_at(path, op, start.elapsed().as_nanos() as u64, cost);
-    out
-}
 
 /// A transformer encoder plus linear token-classification head.
 #[derive(Clone)]
@@ -222,7 +205,7 @@ impl TokenClassifier {
     /// is provided the model runs in training mode with inverted dropout.
     ///
     /// Generic over [`TapeOps`], so the same code path drives the eager
-    /// autograd [`Tape`], the values-only [`Evaluator`](gs_tensor::Evaluator) and the gs-check
+    /// autograd [`Tape`](gs_tensor::Tape), the values-only [`Evaluator`] and the gs-check
     /// symbolic tape (shape-only tracing with no value computation).
     pub fn forward<T: TapeOps>(
         &self,
@@ -267,7 +250,7 @@ impl TokenClassifier {
     /// norms, the head) run as one large product over every row, while
     /// attention stays within each sequence, so each sequence's rows equal
     /// a [`forward`](Self::forward) over it alone. This is the serving path
-    /// (on the [`Evaluator`](gs_tensor::Evaluator)); it never applies dropout.
+    /// (on the [`Evaluator`]); it never applies dropout.
     ///
     /// # Panics
     /// Panics if every sequence is empty.
@@ -364,8 +347,7 @@ impl TokenClassifier {
 
         tape.push_scope("head");
         let [w, bh] = self.ids.head.map(|id| binder.bind(&self.store, id));
-        let logits = tape.matmul(h, w);
-        let out = tape.add_bias(logits, bh);
+        let out = tape.linear(h, w, bh);
         tape.pop_scope();
         out
     }
@@ -383,13 +365,13 @@ impl TokenClassifier {
         tape.push_scope(&layer.attn_scope);
         let [wq, bq, wk, bk, wv, bv, wo, bo] = layer.attn.map(|id| binder.bind(&self.store, id));
 
-        let q = tape.add_bias(tape.matmul(h, wq), bq);
-        let k = tape.add_bias(tape.matmul(h, wk), bk);
-        let v = tape.add_bias(tape.matmul(h, wv), bv);
+        let q = tape.linear(h, wq, bq);
+        let k = tape.linear(h, wk, bk);
+        let v = tape.linear(h, wv, bv);
 
         let scale = 1.0 / (self.config.d_head() as f32).sqrt();
         let mixed = tape.attention(q, k, v, seqs, self.config.n_heads, scale);
-        let mut out = tape.add_bias(tape.matmul(mixed, wo), bo);
+        let mut out = tape.linear(mixed, wo, bo);
         out = self.maybe_dropout(tape, out, dropout, shape);
 
         let sum = tape.add(h, out);
@@ -411,8 +393,8 @@ impl TokenClassifier {
         tape.push_scope(&layer.ffn_scope);
         let [w1, b1, w2, b2] = layer.ffn.map(|id| binder.bind(&self.store, id));
 
-        let inner = tape.gelu(tape.add_bias(tape.matmul(h, w1), b1));
-        let mut out = tape.add_bias(tape.matmul(inner, w2), b2);
+        let inner = tape.gelu(tape.linear(h, w1, b1));
+        let mut out = tape.linear(inner, w2, b2);
         out = self.maybe_dropout(tape, out, dropout, shape);
 
         let sum = tape.add(h, out);
@@ -451,293 +433,48 @@ impl TokenClassifier {
         }
     }
 
-    /// Predicts class ids for a sequence (inference mode, no dropout).
+    /// Predicts class ids for a sequence (inference mode, no dropout): a
+    /// batch of one.
     pub fn predict_classes(&self, ids: &[usize]) -> Vec<usize> {
-        if ids.is_empty() {
-            return Vec::new();
-        }
-        gs_tensor::arena::scope(|| {
-            let truncated = &ids[..ids.len().min(self.config.max_len)];
-            let tape = Tape::new();
-            let mut binder = Binder::new(&tape);
-            let logits = self.forward(&tape, &mut binder, truncated, None);
-            let mut classes = tape.value(logits).argmax_rows();
-            // Truncated tail: repeat the O class (0) so callers get one class
-            // per input id.
-            classes.resize(ids.len(), 0);
-            classes
-        })
+        self.predict_classes_batch(&[ids]).pop().expect("one sequence in, one out")
     }
 
-    /// Batched [`predict_classes`](Self::predict_classes): packs every
-    /// sequence into one `[total_tokens, d]` activation matrix so the
-    /// row-wise layers (embeddings, QKV/FFN projections, layer norms, and
-    /// the classification head) run as a handful of large matrix products
-    /// instead of one small product per request, while attention is
-    /// evaluated per sequence — tokens never attend across sequence
-    /// boundaries, so results are identical to the one-at-a-time path.
-    ///
-    /// This is the serving hot path: it skips the autograd tape entirely
-    /// (no gradients at inference), which also removes the per-op value
-    /// cloning the taped forward pays.
+    /// Predicts class ids for every sequence with one
+    /// [`forward_batch`](Self::forward_batch) on the [`Evaluator`]: one
+    /// class per input id, with truncated tails given the O class (0) and
+    /// empty inputs an empty vector. This is the serving hot path.
     pub fn predict_classes_batch(&self, seqs: &[&[usize]]) -> Vec<Vec<usize>> {
-        let packed = pack_sequences(seqs, self.config.max_len);
-        if packed.flat_ids.is_empty() {
-            return seqs.iter().map(|_| Vec::new()).collect();
+        if seqs.iter().all(|seq| seq.is_empty()) {
+            return vec![Vec::new(); seqs.len()];
         }
-
-        // Arena scope: every kernel buffer the packed forward frees is
-        // recycled into the next allocation, so steady-state serving does no
-        // per-op heap allocation (pinned by tests/arena_flatness.rs).
+        // Arena scope: every buffer the forward frees is recycled into the
+        // next allocation, so steady-state serving does no per-op heap
+        // allocation (pinned by tests/arena_flatness.rs).
         let classes = gs_tensor::arena::scope(|| {
-            let h = self.forward_packed(&packed.flat_ids, &packed.positions, &packed.ranges);
-            timed(prof::enabled(), "head", "argmax", cost::map(h.len(), 1), || h.argmax_rows())
+            let eval = Evaluator::new(&self.store);
+            let mut binder = Binder::new(&eval);
+            let logits = self.forward_batch(&eval, &mut binder, seqs);
+            let logits = eval.value(logits);
+            prof::time_at(prof::enabled(), "head", "argmax", cost::map(logits.len(), 1), || {
+                logits.argmax_rows()
+            })
         });
-        packed.unpack_classes(seqs, &classes)
-    }
-
-    /// `forward_packed`'s logits over `seqs`, for the evaluator equivalence
-    /// test.
-    #[doc(hidden)]
-    pub fn forward_packed_logits(&self, seqs: &[&[usize]]) -> Tensor {
-        let packed = pack_sequences(seqs, self.config.max_len);
-        self.forward_packed(&packed.flat_ids, &packed.positions, &packed.ranges)
-    }
-
-    /// The packed inference forward shared by
-    /// [`predict_classes_batch`](Self::predict_classes_batch): returns the
-    /// `[total_tokens, num_classes]` logits. Every operation replicates
-    /// the taped forward's math exactly (same kernels, same evaluation
-    /// order per row), which the batch-equivalence tests pin down.
-    fn forward_packed(
-        &self,
-        flat_ids: &[usize],
-        positions: &[usize],
-        ranges: &[Option<(usize, usize)>],
-    ) -> Tensor {
-        let p = |name: &str| self.store.value(self.store.id(name).expect("parameter"));
-        let d = self.config.d_model;
-        let dh = self.config.d_head();
-        let seq_ranges: Vec<(usize, usize)> = ranges.iter().flatten().copied().collect();
-        let rows = flat_ids.len();
-        // Latched once: keeps the disabled path to one atomic load per
-        // forward and makes enable/disable races mid-forward harmless.
-        let prof = prof::enabled();
-
-        // Embeddings: token + position (+ segment 0 for BERT), layer norm.
-        let tok = timed(prof, "emb", "embed_gather", cost::gather(rows, d), || {
-            p("emb.tok").gather_rows(flat_ids)
-        });
-        let pos = timed(prof, "emb", "embed_gather", cost::gather(rows, d), || {
-            p("emb.pos").gather_rows(positions)
-        });
-        let mut h =
-            timed(prof, "emb", "add", cost::zip(rows * d, 1), || tok.zip_map(&pos, |x, y| x + y));
-        if self.config.family == ModelFamily::Bert {
-            let seg = timed(prof, "emb", "embed_gather", cost::gather(rows, d), || {
-                p("emb.seg").gather_rows(&vec![0; rows])
-            });
-            h = timed(prof, "emb", "add", cost::zip(rows * d, 1), || h.zip_map(&seg, |x, y| x + y));
-        }
-        h = timed(prof, "emb", "layer_norm", cost::layer_norm(rows, d), || {
-            layer_norm_rows(&h, p("emb.ln.g"), p("emb.ln.b"))
-        });
-
-        for l in 0..self.config.n_layers {
-            let attn = format!("l{l}.attn");
-            // Attention block: projections are batched; score/softmax/mix
-            // run per sequence so attention stays within each request.
-            let project = |w: &str, b: &str| {
-                let mm = timed(prof, &attn, "matmul", cost::matmul(rows, d, d), || {
-                    h.matmul(p(&format!("l{l}.attn.{w}")))
-                });
-                timed(prof, &attn, "add_bias", cost::zip(rows * d, 1), || {
-                    add_bias_rows(mm, p(&format!("l{l}.attn.{b}")))
-                })
-            };
-            let q = project("wq", "bq");
-            let k = project("wk", "bk");
-            let v = project("wv", "bv");
-            let scale = 1.0 / (dh as f32).sqrt();
-            // Each sequence's attention is independent of every other's, so
-            // the per-sequence mixes fan out across the gs-par pool; results
-            // are concatenated in sequence order, making the output (and
-            // thus serving responses) bit-identical to the serial loop.
-            // Worker threads record through explicit paths (`timed`), so the
-            // profile merges per-sequence work under this layer's key.
-            let per_seq: Vec<Vec<f32>> = gs_par::map_collect(seq_ranges.len(), |si| {
-                let (start, n) = seq_ranges[si];
-                let (qs, ks, vs) = timed(prof, &attn, "slice_rows", cost::copy(3 * n * d), || {
-                    (
-                        q.slice_rows(start, start + n),
-                        k.slice_rows(start, start + n),
-                        v.slice_rows(start, start + n),
-                    )
-                });
-                let mut heads = Vec::with_capacity(self.config.n_heads);
-                for head in 0..self.config.n_heads {
-                    let (s, e) = (head * dh, (head + 1) * dh);
-                    let (qh, kh, vh) =
-                        timed(prof, &attn, "slice_cols", cost::copy(3 * n * dh), || {
-                            (qs.slice_cols(s, e), ks.slice_cols(s, e), vs.slice_cols(s, e))
-                        });
-                    let scores =
-                        timed(prof, &attn, "matmul_transb", cost::matmul(n, dh, n), || {
-                            qh.matmul_transb(&kh)
-                        });
-                    let scores = timed(prof, &attn, "scale", cost::map(n * n, 1), || {
-                        scores.map(|x| x * scale)
-                    });
-                    let weights = timed(prof, &attn, "softmax", cost::softmax(n, n), || {
-                        scores.softmax_last_dim()
-                    });
-                    heads.push(timed(prof, &attn, "matmul", cost::matmul(n, n, dh), || {
-                        weights.matmul(&vh)
-                    }));
-                }
-                let head_refs: Vec<&Tensor> = heads.iter().collect();
-                timed(prof, &attn, "concat_cols", cost::copy(n * d), || {
-                    Tensor::concat_cols(&head_refs).into_data()
-                })
-            });
-            let concat = timed(prof, &attn, "concat_cols", cost::copy(rows * d), || {
-                let mut mixed = gs_tensor::arena::alloc_empty(h.len());
-                for seq in per_seq {
-                    mixed.extend_from_slice(&seq);
-                    gs_tensor::arena::recycle(seq);
-                }
-                Tensor::from_vec(vec![rows, d], mixed)
-            });
-            let mm = timed(prof, &attn, "matmul", cost::matmul(rows, d, d), || {
-                concat.matmul(p(&format!("l{l}.attn.wo")))
-            });
-            let out = timed(prof, &attn, "add_bias", cost::zip(rows * d, 1), || {
-                add_bias_rows(mm, p(&format!("l{l}.attn.bo")))
-            });
-            let sum =
-                timed(prof, &attn, "add", cost::zip(rows * d, 1), || h.zip_map(&out, |x, y| x + y));
-            h = timed(prof, &attn, "layer_norm", cost::layer_norm(rows, d), || {
-                layer_norm_rows(&sum, p(&format!("l{l}.ln1.g")), p(&format!("l{l}.ln1.b")))
-            });
-
-            // FFN block, fully batched.
-            let ffn = format!("l{l}.ffn");
-            let d_ff = self.config.d_ff;
-            let mm = timed(prof, &ffn, "matmul", cost::matmul(rows, d, d_ff), || {
-                h.matmul(p(&format!("l{l}.ffn.w1")))
-            });
-            let pre = timed(prof, &ffn, "add_bias", cost::zip(rows * d_ff, 1), || {
-                add_bias_rows(mm, p(&format!("l{l}.ffn.b1")))
-            });
-            let inner = timed(prof, &ffn, "gelu", cost::gelu(rows * d_ff), || pre.gelu_forward());
-            let mm = timed(prof, &ffn, "matmul", cost::matmul(rows, d_ff, d), || {
-                inner.matmul(p(&format!("l{l}.ffn.w2")))
-            });
-            let out = timed(prof, &ffn, "add_bias", cost::zip(rows * d, 1), || {
-                add_bias_rows(mm, p(&format!("l{l}.ffn.b2")))
-            });
-            let sum =
-                timed(prof, &ffn, "add", cost::zip(rows * d, 1), || h.zip_map(&out, |x, y| x + y));
-            h = timed(prof, &ffn, "layer_norm", cost::layer_norm(rows, d), || {
-                layer_norm_rows(&sum, p(&format!("l{l}.ln2.g")), p(&format!("l{l}.ln2.b")))
-            });
-        }
-
-        let mm = timed(prof, "head", "matmul", cost::matmul(rows, d, self.num_classes), || {
-            h.matmul(p("head.w"))
-        });
-        timed(prof, "head", "add_bias", cost::zip(rows * self.num_classes, 1), || {
-            add_bias_rows(mm, p("head.b"))
-        })
-    }
-}
-
-/// Sequences packed into one flat id stream for a batched forward, with
-/// enough bookkeeping to scatter per-token results back to their inputs.
-struct PackedSeqs {
-    /// Every non-empty sequence's ids (truncated to `max_len`), contiguous.
-    flat_ids: Vec<usize>,
-    /// Position index of each flat id within its own sequence.
-    positions: Vec<usize>,
-    /// Per input sequence: `Some((start, len))` into `flat_ids`, or `None`
-    /// for empty inputs.
-    ranges: Vec<Option<(usize, usize)>>,
-}
-
-/// Packs non-empty sequences (truncated to `max_len`) into one flat stream.
-fn pack_sequences(seqs: &[&[usize]], max_len: usize) -> PackedSeqs {
-    let mut flat_ids: Vec<usize> = Vec::new();
-    let mut positions: Vec<usize> = Vec::new();
-    let mut ranges: Vec<Option<(usize, usize)>> = Vec::with_capacity(seqs.len());
-    for seq in seqs {
-        if seq.is_empty() {
-            ranges.push(None);
-            continue;
-        }
-        let n = seq.len().min(max_len);
-        let start = flat_ids.len();
-        flat_ids.extend_from_slice(&seq[..n]);
-        positions.extend(0..n);
-        ranges.push(Some((start, n)));
-    }
-    PackedSeqs { flat_ids, positions, ranges }
-}
-
-impl PackedSeqs {
-    /// Scatters flat per-token classes back to one vector per input
-    /// sequence, padding truncated tails with the O class (0).
-    fn unpack_classes(&self, seqs: &[&[usize]], classes: &[usize]) -> Vec<Vec<usize>> {
+        let mut rows = classes.into_iter();
         seqs.iter()
-            .zip(&self.ranges)
-            .map(|(seq, range)| match range {
-                None => Vec::new(),
-                Some((start, n)) => {
-                    let mut out = classes[*start..*start + *n].to_vec();
-                    out.resize(seq.len(), 0);
-                    out
-                }
+            .map(|seq| {
+                let n = seq.len().min(self.config.max_len);
+                let mut out: Vec<usize> = rows.by_ref().take(n).collect();
+                out.resize(seq.len(), 0);
+                out
             })
             .collect()
     }
 }
 
-/// Adds a `[d]` bias to every row of `[n, d]` — the inference twin of
-/// `Tape::add_bias` (same accumulation order for bitwise-equal results).
-fn add_bias_rows(mut x: Tensor, bias: &Tensor) -> Tensor {
-    assert_eq!(x.cols(), bias.len(), "add_bias width mismatch");
-    for i in 0..x.rows() {
-        for (o, &bv) in x.row_mut(i).iter_mut().zip(bias.data()) {
-            *o += bv;
-        }
-    }
-    x
-}
-
-/// Row-wise layer norm — the inference twin of `Tape::layer_norm` (same
-/// epsilon and evaluation order).
-fn layer_norm_rows(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Tensor {
-    const EPS: f32 = 1e-5;
-    let d = x.cols();
-    assert_eq!(gamma.len(), d, "layer_norm gamma width");
-    assert_eq!(beta.len(), d, "layer_norm beta width");
-    let n = x.rows();
-    let mut out = gs_tensor::arena::alloc_zeroed(x.len());
-    for r in 0..n {
-        let row = x.row(r);
-        let mean: f32 = row.iter().sum::<f32>() / d as f32;
-        let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let istd = 1.0 / (var + EPS).sqrt();
-        for j in 0..d {
-            out[r * d + j] = (row[j] - mean) * istd * gamma.data()[j] + beta.data()[j];
-        }
-    }
-    Tensor::from_vec(vec![n, d], out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gs_tensor::Optimizer;
+    use gs_tensor::{Optimizer, Tape};
 
     fn tiny_config() -> TransformerConfig {
         TransformerConfig {
@@ -893,6 +630,17 @@ mod tests {
         let mm = snap.rows.iter().find(|r| r.path == "l0.ffn" && r.op == "matmul").unwrap();
         assert!(mm.flops > 0 && mm.bytes > 0);
         prof::reset();
+    }
+
+    #[test]
+    #[should_panic(expected = "missing parameter l0.ffn.w2")]
+    fn from_store_names_a_missing_parameter_at_load() {
+        let full = TokenClassifier::new(tiny_config(), 30, 5, 1);
+        let mut store = ParamStore::new();
+        for id in full.store().ids().filter(|&id| full.store().name(id) != "l0.ffn.w2") {
+            store.register(full.store().name(id), full.store().value(id).clone());
+        }
+        let _ = TokenClassifier::from_store(tiny_config(), 5, store);
     }
 
     #[test]

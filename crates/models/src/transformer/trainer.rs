@@ -4,7 +4,7 @@
 
 use super::check::assert_classifier_valid;
 use super::config::TrainConfig;
-use super::model::{timed, TokenClassifier};
+use super::model::TokenClassifier;
 use gs_check::GrowthMonitor;
 use gs_obs::prof;
 use gs_obs::Rng;
@@ -56,7 +56,7 @@ pub fn train_token_classifier_cb(
 
     // Fail fast, before any forward: symbolic shape check + graph lints.
     let prof_on = prof::enabled();
-    timed(prof_on, "train", "graph_check", prof::Cost::zero(), || {
+    prof::time_at(prof_on, "train", "graph_check", prof::Cost::zero(), || {
         assert_classifier_valid(model, "fine-tuning");
     });
 
@@ -94,7 +94,7 @@ pub fn train_token_classifier_cb(
                 // batch order, so the RNG stream is identical to serial
                 // training regardless of pool size.
                 let batch_masks: Vec<Vec<Tensor>> =
-                    timed(prof_on, "train", "draw_dropout", prof::Cost::zero(), || {
+                    prof::time_at(prof_on, "train", "draw_dropout", prof::Cost::zero(), || {
                         batch
                             .iter()
                             .map(|&i| {
@@ -129,7 +129,7 @@ pub fn train_token_classifier_cb(
                 for (loss_val, pairs, issue, tape_len) in shards {
                     batch_loss += loss_val;
                     let accum_len: usize = pairs.iter().map(|(_, g)| g.len()).sum();
-                    timed(prof_on, "train", "accum_grad", cost::zip(accum_len, 1), || {
+                    prof::time_at(prof_on, "train", "accum_grad", cost::zip(accum_len, 1), || {
                         for (id, g) in &pairs {
                             model.store_mut().accumulate_grad(*id, g);
                         }

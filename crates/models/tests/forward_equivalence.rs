@@ -1,12 +1,12 @@
 //! The serving forward is the encoder's one definition run on the
 //! values-only `Evaluator`: its logits over a packed batch must equal the
-//! reference forward's bit for bit, for both model families and for every
-//! packing edge case (empty, length-1, exactly `max_len` and over-length
-//! sequences in one batch).
+//! taped forward's, run one sequence per tape, bit for bit, for both model
+//! families and for every packing edge case (empty, length-1, exactly
+//! `max_len` and over-length sequences in one batch).
 
 use gs_models::transformer::{ModelFamily, TokenClassifier, TransformerConfig};
 use gs_obs::Rng;
-use gs_tensor::{Binder, Evaluator, Tensor};
+use gs_tensor::{Binder, Evaluator, Tape, Tensor};
 
 const VOCAB: usize = 40;
 const MAX_LEN: usize = 12;
@@ -73,17 +73,45 @@ fn evaluator_logits(model: &TokenClassifier, seqs: &[&[usize]]) -> Vec<u32> {
     bits(&logits)
 }
 
+/// The taped forward's logits, one sequence per tape, rows concatenated in
+/// packing order: empty sequences skipped, long ones cut to `max_len`.
+fn taped_logits(model: &TokenClassifier, seqs: &[&[usize]]) -> Vec<u32> {
+    seqs.iter()
+        .filter(|seq| !seq.is_empty())
+        .flat_map(|seq| {
+            let tape = Tape::new();
+            let mut binder = Binder::new(&tape);
+            let logits = model.forward(&tape, &mut binder, &seq[..seq.len().min(MAX_LEN)], None);
+            bits(&tape.value(logits))
+        })
+        .collect()
+}
+
 #[test]
-fn evaluator_logits_equal_forward_packed_bit_for_bit() {
+fn evaluator_logits_equal_the_taped_forward_bit_for_bit() {
     for family in [ModelFamily::Roberta, ModelFamily::Bert] {
         let model = model(family);
         for (case, batch) in batches().iter().enumerate() {
             let refs: Vec<&[usize]> = batch.iter().map(Vec::as_slice).collect();
             assert_eq!(
                 evaluator_logits(&model, &refs),
-                bits(&model.forward_packed_logits(&refs)),
+                taped_logits(&model, &refs),
                 "{family:?} case {case}: {batch:?}"
             );
         }
+    }
+}
+
+#[test]
+fn evaluator_applies_dropout_masks_like_the_tape() {
+    for family in [ModelFamily::Roberta, ModelFamily::Bert] {
+        let model = model(family);
+        let ids = seq(MAX_LEN, 9);
+        let masks = model.draw_dropout_masks(ids.len(), &mut Rng::seed_from_u64(5));
+        let tape = Tape::new();
+        let taped = model.forward_with_masks(&tape, &mut Binder::new(&tape), &ids, &masks);
+        let eval = Evaluator::new(model.store());
+        let evaluated = model.forward_with_masks(&eval, &mut Binder::new(&eval), &ids, &masks);
+        assert_eq!(bits(&eval.value(evaluated)), bits(&tape.value(taped)), "{family:?}");
     }
 }

@@ -223,16 +223,6 @@ impl Drop for OpTimer {
     }
 }
 
-/// Runs `f` as op `name` with work estimate `cost`, under the current
-/// thread scope. Convenience for call sites where the cost is known up
-/// front (the packed inference path).
-#[inline]
-pub fn time<R>(name: &'static str, cost: Cost, f: impl FnOnce() -> R) -> R {
-    let mut timer = op(name);
-    timer.set_cost(cost);
-    f()
-}
-
 /// Runs `f` as op `op` under the explicit `path` when `on` is set (callers
 /// latch [`enabled`] once per forward, so a mid-forward toggle is harmless
 /// and the disabled path is one branch). Explicit paths let pool workers
@@ -482,7 +472,8 @@ mod tests {
                     t.set_cost(Cost::new(1000, 100));
                 }
             }
-            time("gelu", Cost::new(10, 20), || std::hint::black_box(1 + 1));
+            time_at(true, "ffn", "gelu", Cost::new(10, 20), || std::hint::black_box(1 + 1));
+            time_at(false, "ffn", "gelu", Cost::new(10, 20), || std::hint::black_box(1 + 1));
             record_at("l0.attn", "matmul.bwd", 5_000, Cost::new(2000, 200));
             let snap = snapshot();
             let mm = snap
@@ -498,7 +489,7 @@ mod tests {
             assert_eq!(bwd.path, "l0.attn");
             assert_eq!(bwd.seconds, 5e-6);
             let gelu = snap.rows.iter().find(|r| r.op == "gelu").expect("gelu row");
-            assert_eq!(gelu.path, "");
+            assert_eq!((gelu.path.as_str(), gelu.calls), ("ffn", 1));
             assert_eq!(gelu.flops, 10);
         });
     }

@@ -17,7 +17,7 @@ use crate::arena;
 use crate::cost;
 use crate::optim::{ParamId, ParamStore};
 use crate::shape;
-use crate::tape::{enforce, normalize_row, plus_bias, TapeOps, Var};
+use crate::tape::{add_row_bias, enforce, normalize_row, TapeOps, Var};
 use crate::tensor::Tensor;
 use gs_obs::prof;
 use std::cell::{Ref, RefCell};
@@ -106,17 +106,15 @@ impl TapeOps for Evaluator<'_> {
         })
     }
 
-    fn add_bias(&self, x: Var, bias: Var) -> Var {
-        self.op([x, bias], |[x, bias]| {
-            enforce(shape::add_bias(x.shape(), bias.shape()));
-            self.timed("add_bias", cost::zip(x.len(), 1), || plus_bias(x, bias))
-        })
-    }
-
-    fn matmul(&self, a: Var, b: Var) -> Var {
-        self.op([a, b], |[a, b]| {
-            enforce(shape::matmul(a.shape(), b.shape()));
-            self.timed("matmul", cost::matmul(a.rows(), a.cols(), b.cols()), || a.matmul(b))
+    /// The bias is added in place to the product, which no other op sees.
+    fn linear(&self, x: Var, w: Var, b: Var) -> Var {
+        self.op([x, w, b], |[x, w, b]| {
+            enforce(shape::matmul(x.shape(), w.shape()));
+            let mut out =
+                self.timed("matmul", cost::matmul(x.rows(), x.cols(), w.cols()), || x.matmul(w));
+            enforce(shape::add_bias(out.shape(), b.shape()));
+            self.timed("add_bias", cost::zip(out.len(), 1), || add_row_bias(&mut out, b));
+            out
         })
     }
 

@@ -231,15 +231,13 @@ pub(crate) fn enforce(result: Result<Vec<usize>, ShapeError>) {
     }
 }
 
-/// `x + bias` with the `[d]` bias added to every row of `[n, d]` `x`.
-pub(crate) fn plus_bias(x: &Tensor, bias: &Tensor) -> Tensor {
-    let mut out = x.clone();
-    for i in 0..out.rows() {
-        for (o, &bv) in out.row_mut(i).iter_mut().zip(bias.data()) {
+/// Adds the `[d]` bias to every row of `[n, d]` `x` in place.
+pub(crate) fn add_row_bias(x: &mut Tensor, bias: &Tensor) {
+    for i in 0..x.rows() {
+        for (o, &bv) in x.row_mut(i).iter_mut().zip(bias.data()) {
             *o += bv;
         }
     }
-    out
 }
 
 /// Layer-normalizes one row into `out` (`(x - mean) * istd * gamma + beta`)
@@ -517,7 +515,9 @@ impl Tape {
         let (vx, vb) = (self.value_rc(x), self.value_rc(bias));
         enforce(shape::add_bias(vx.shape(), vb.shape()));
         timer.set_cost(cost::zip(vx.len(), 1));
-        self.push(plus_bias(&vx, &vb), Op::AddBias(x.index(), bias.index()))
+        let mut out = (*vx).clone();
+        add_row_bias(&mut out, &vb);
+        self.push(out, Op::AddBias(x.index(), bias.index()))
     }
 
     /// Elementwise subtraction of equal shapes.
@@ -567,6 +567,12 @@ impl Tape {
         timer.set_cost(cost::matmul(va.rows(), va.cols(), vb.rows()));
         let out = va.matmul_transb(&vb);
         self.push(out, Op::MatMulTransB(a.index(), b.index()))
+    }
+
+    /// Affine map `x w + b`: a [`matmul`](Self::matmul) then an
+    /// [`add_bias`](Self::add_bias), recorded as those two nodes.
+    pub fn linear(&self, x: Var, w: Var, b: Var) -> Var {
+        self.add_bias(self.matmul(x, w), b)
     }
 
     /// Elementwise ReLU.
@@ -1126,10 +1132,9 @@ pub trait TapeOps {
     fn param(&self, store: &ParamStore, id: ParamId) -> Var;
     /// Elementwise `a + b`.
     fn add(&self, a: Var, b: Var) -> Var;
-    /// `[n, d] + [d]` broadcast.
-    fn add_bias(&self, x: Var, bias: Var) -> Var;
-    /// `[m, k] x [k, n]`.
-    fn matmul(&self, a: Var, b: Var) -> Var;
+    /// `x w + b` for `[n, k]` `x`, `[k, m]` `w` and `[m]` `b`: the shape
+    /// rules of `matmul` then `add_bias`.
+    fn linear(&self, x: Var, w: Var, b: Var) -> Var;
     /// Elementwise GELU.
     fn gelu(&self, a: Var) -> Var;
     /// Layer normalization with learned gain/bias.
@@ -1163,11 +1168,8 @@ impl TapeOps for Tape {
     fn add(&self, a: Var, b: Var) -> Var {
         Tape::add(self, a, b)
     }
-    fn add_bias(&self, x: Var, bias: Var) -> Var {
-        Tape::add_bias(self, x, bias)
-    }
-    fn matmul(&self, a: Var, b: Var) -> Var {
-        Tape::matmul(self, a, b)
+    fn linear(&self, x: Var, w: Var, b: Var) -> Var {
+        Tape::linear(self, x, w, b)
     }
     fn gelu(&self, a: Var) -> Var {
         Tape::gelu(self, a)
