@@ -11,19 +11,23 @@
 //!   kernel), fast rational-tanh gelu, arena pool recycling buffers.
 //!
 //! Reported per matmul variant: ns/call and GFLOP/s in both modes. End to
-//! end: the packed inference forward and the fine-tuning train step, timed
-//! single-threaded in both configurations, plus the serving forward on the
-//! default pool. The after-forward additionally runs under `gs_obs::prof`
-//! so the gelu share of attributed forward time is pinned.
+//! end: the serving forward (`predict_classes_batch`) and the fine-tuning
+//! train step, timed single-threaded in both configurations, plus the
+//! serving forward on the default pool. The two end-to-end arms are
+//! interleaved: each round times both back to back, alternating which goes
+//! first, so drift in host speed lands on both arms alike; each arm reports
+//! its median with min and max over the rounds, and the gates compare
+//! medians. The after-forward additionally runs under `gs_obs::prof` so the
+//! gelu share of attributed forward time is pinned.
 //!
 //! Usage:
 //!   cargo run --release -p gs-bench --bin kernelbench -- [--smoke]
 //!       [--reps N] [--out PATH]
 //!
 //! Writes `results/BENCH_kernels.json`. In full mode (no `--smoke`) the
-//! bench **fails** (exit 1) unless the blocked forward is >= 2x the
-//! reference forward, the train step is >= 1.5x, and gelu is <= 10% of
-//! attributed forward time; `--smoke` still reports the ratios but skips
+//! bench **fails** (exit 1) unless the blocked forward's median is >= 2x
+//! the reference forward's, the train step's is >= 1.5x, and gelu is <= 10%
+//! of attributed forward time; `--smoke` still reports the ratios but skips
 //! enforcement (tiny smoke shapes are overhead-dominated).
 
 use gs_bench::Args;
@@ -97,6 +101,57 @@ fn configure(after: bool) {
     set_exact_gelu(!after);
     arena::set_pool_enabled(after);
     arena::clear();
+}
+
+/// Median, min and max of one arm's samples, in ns.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        samples.sort_by(f64::total_cmp);
+        Spread {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+            max: samples[samples.len() - 1],
+        }
+    }
+}
+
+/// Times the seed ("before") and optimized ("after") arms `rounds` times
+/// each with `sample(after)`, interleaved: every round runs both arms back
+/// to back and alternates which goes first.
+fn interleaved(rounds: usize, mut sample: impl FnMut(bool) -> f64) -> (Spread, Spread) {
+    let (mut before, mut after) = (Vec::new(), Vec::new());
+    for round in 0..rounds {
+        let order = if round % 2 == 0 { [false, true] } else { [true, false] };
+        for arm in order {
+            configure(arm);
+            let ns = sample(arm);
+            if arm {
+                after.push(ns)
+            } else {
+                before.push(ns)
+            }
+        }
+    }
+    (Spread::of(before), Spread::of(after))
+}
+
+/// An end-to-end comparison as JSON: each arm's median with its range.
+fn arms_json(before: &Spread, after: &Spread) -> Vec<(&'static str, Json)> {
+    vec![
+        ("before_ns", before.median.into()),
+        ("before_min_ns", before.min.into()),
+        ("before_max_ns", before.max.into()),
+        ("after_ns", after.median.into()),
+        ("after_min_ns", after.min.into()),
+        ("after_max_ns", after.max.into()),
+        ("speedup", Json::from(before.median / after.median)),
+    ]
 }
 
 /// One matmul variant measured in both kernel modes.
@@ -233,29 +288,32 @@ fn main() {
     let gelu = elementwise_row("gelu", erows, ecols, reps * 4, |x| x.gelu_forward());
     let softmax = elementwise_row("softmax", erows, ecols, reps * 4, |x| x.softmax_last_dim());
 
-    // Forward end to end: the packed tape-free inference kernel, single
-    // thread, seed configuration vs blocked + fast gelu + arena.
+    // Forward end to end: the serving forward, single thread, seed
+    // configuration vs blocked + fast gelu + arena.
     let config = bench_config(smoke);
     let num_classes = 5;
     let model = TokenClassifier::new(config.clone(), VOCAB, num_classes, 42);
     let seqs = synth_seqs(if smoke { 4 } else { 16 }, 48);
     let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
     let fwd_reps = if smoke { 3 } else { 20 };
+    let rounds = if smoke { 3 } else { 7 };
 
-    configure(false);
-    let fwd_before_ns = time_ns(fwd_reps, || {
-        let _ = model.predict_classes_batch(&refs);
+    let (fwd_before, fwd_after) = interleaved(rounds, |after| {
+        let run = || {
+            time_ns(fwd_reps, || {
+                let _ = model.predict_classes_batch(&refs);
+            })
+        };
+        if after {
+            arena::scope(run)
+        } else {
+            run()
+        }
     });
-    configure(true);
-    let fwd_after_ns = arena::scope(|| {
-        time_ns(fwd_reps, || {
-            let _ = model.predict_classes_batch(&refs);
-        })
-    });
-    let forward_speedup = fwd_before_ns / fwd_after_ns;
+    let forward_speedup = fwd_before.median / fwd_after.median;
     println!(
-        "{:>14}  {fwd_before_ns:>10.0} -> {fwd_after_ns:>10.0} ns  ({forward_speedup:.2}x)",
-        "forward e2e"
+        "{:>14}  {:>10.0} -> {:>10.0} ns  ({forward_speedup:.2}x, medians of {rounds})",
+        "forward e2e", fwd_before.median, fwd_after.median
     );
 
     // The after-forward under the op profiler: how much of attributed time
@@ -292,26 +350,25 @@ fn main() {
         batch_size: 8,
         ..Default::default()
     };
-    configure(false);
-    let train_before_ns = gs_par::with_threads(1, || {
-        let mut m = TokenClassifier::new(config.clone(), VOCAB, num_classes, 43);
-        let start = Instant::now();
-        let _ = train_token_classifier(&mut m, &examples, &train_cfg);
-        start.elapsed().as_nanos() as f64
-    });
-    configure(true);
-    let train_after_ns = gs_par::with_threads(1, || {
-        let mut m = TokenClassifier::new(config.clone(), VOCAB, num_classes, 43);
-        arena::scope(|| {
-            let start = Instant::now();
-            let _ = train_token_classifier(&mut m, &examples, &train_cfg);
-            start.elapsed().as_nanos() as f64
+    let (train_before, train_after) = interleaved(rounds, |after| {
+        gs_par::with_threads(1, || {
+            let mut m = TokenClassifier::new(config.clone(), VOCAB, num_classes, 43);
+            let mut run = || {
+                let start = Instant::now();
+                let _ = train_token_classifier(&mut m, &examples, &train_cfg);
+                start.elapsed().as_nanos() as f64
+            };
+            if after {
+                arena::scope(run)
+            } else {
+                run()
+            }
         })
     });
-    let train_speedup = train_before_ns / train_after_ns;
+    let train_speedup = train_before.median / train_after.median;
     println!(
-        "{:>14}  {train_before_ns:>10.0} -> {train_after_ns:>10.0} ns  ({train_speedup:.2}x)",
-        "train e2e"
+        "{:>14}  {:>10.0} -> {:>10.0} ns  ({train_speedup:.2}x, medians of {rounds})",
+        "train e2e", train_before.median, train_after.median
     );
 
     // Serving forward in the after configuration, on the default pool:
@@ -350,23 +407,13 @@ fn main() {
             ]),
         ),
         ("ops", Json::Arr(vec![mm, mmtb, mmta, gelu, softmax])),
-        (
-            "forward",
-            Json::obj(vec![
-                ("before_ns", fwd_before_ns.into()),
-                ("after_ns", fwd_after_ns.into()),
-                ("speedup", forward_speedup.into()),
-                ("gelu_share_of_attributed", gelu_share.into()),
-            ]),
-        ),
-        (
-            "train_step",
-            Json::obj(vec![
-                ("before_ns", train_before_ns.into()),
-                ("after_ns", train_after_ns.into()),
-                ("speedup", train_speedup.into()),
-            ]),
-        ),
+        ("rounds", rounds.into()),
+        ("forward", {
+            let mut fields = arms_json(&fwd_before, &fwd_after);
+            fields.push(("gelu_share_of_attributed", gelu_share.into()));
+            Json::obj(fields)
+        }),
+        ("train_step", Json::obj(arms_json(&train_before, &train_after))),
         ("serve_forward", Json::obj(vec![("f32_ns", serve_f32_ns.into())])),
         (
             "gates",
