@@ -5,7 +5,7 @@
 //! drift in node count means state leaked across steps.
 
 use gs_check::GrowthMonitor;
-use gs_tensor::{Tape, Tensor};
+use gs_tensor::{Tape, TapeOps, Tensor};
 
 /// One forward/backward large enough to cross every parallel cutoff
 /// (matmul flops, elementwise volume, row-kernel volume); returns the

@@ -167,11 +167,13 @@ impl TransformerExtractor {
     }
 
     /// Batched [`predict_tags`](Self::predict_tags): encodes every text,
-    /// runs one packed encoder forward over all sequences (see
+    /// runs the encoder's one forward once over all sequences packed into
+    /// one row block, on the values-only evaluator (see
     /// [`TokenClassifier::predict_classes_batch`]), and decodes each
     /// result. Output is positionally identical to calling `predict_tags`
-    /// per text; this is the path the serving layer's micro-batcher uses
-    /// to amortize the forward across concurrent requests.
+    /// per text, which is a batch of one; this is the path the serving
+    /// layer's micro-batcher uses to amortize the forward across
+    /// concurrent requests.
     pub fn predict_tags_batch(&self, texts: &[&str]) -> Vec<(String, Vec<PreToken>, Vec<Tag>)> {
         // Per-text tokenization is independent and dominates the
         // non-forward cost of a batch, so it fans out across the gs-par

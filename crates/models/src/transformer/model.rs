@@ -562,35 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_prediction_matches_single_roberta() {
-        let model = TokenClassifier::new(tiny_config(), 30, 5, 11);
-        let seqs: Vec<Vec<usize>> = vec![
-            vec![1, 5, 9, 2],
-            vec![3],
-            vec![7, 7, 7, 7, 7, 7],
-            (0..25).map(|i| i % 30).collect(), // exceeds max_len: truncated
-        ];
-        let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-        let batched = model.predict_classes_batch(&refs);
-        for (seq, batch_out) in seqs.iter().zip(&batched) {
-            assert_eq!(batch_out, &model.predict_classes(seq));
-        }
-    }
-
-    #[test]
-    fn batched_prediction_matches_single_bert() {
-        let mut cfg = tiny_config();
-        cfg.family = ModelFamily::Bert;
-        let model = TokenClassifier::new(cfg, 30, 5, 13);
-        let seqs: Vec<Vec<usize>> = vec![vec![2, 4, 6], vec![1, 1], vec![9, 8, 7, 6, 5]];
-        let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-        let batched = model.predict_classes_batch(&refs);
-        for (seq, batch_out) in seqs.iter().zip(&batched) {
-            assert_eq!(batch_out, &model.predict_classes(seq));
-        }
-    }
-
-    #[test]
     fn batched_prediction_handles_empty_and_all_empty() {
         let model = TokenClassifier::new(tiny_config(), 30, 5, 11);
         let out = model.predict_classes_batch(&[&[][..], &[1, 2][..], &[][..]]);

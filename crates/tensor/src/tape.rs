@@ -367,37 +367,6 @@ impl Tape {
         self.nodes.borrow().is_empty()
     }
 
-    /// Enters a named provenance scope; nested scopes join with dots
-    /// (`push_scope("l0")` then `push_scope("attn")` yields `l0.attn`).
-    pub fn push_scope(&self, name: &str) {
-        let parent = self.current_scope();
-        let full = {
-            let scopes = self.scopes.borrow();
-            let parent_name = &scopes[parent as usize];
-            if parent_name.is_empty() {
-                name.to_string()
-            } else {
-                format!("{parent_name}.{name}")
-            }
-        };
-        let id = {
-            let mut scopes = self.scopes.borrow_mut();
-            match scopes.iter().position(|s| *s == full) {
-                Some(i) => i as u32,
-                None => {
-                    scopes.push(full);
-                    (scopes.len() - 1) as u32
-                }
-            }
-        };
-        self.scope_stack.borrow_mut().push(id);
-    }
-
-    /// Leaves the innermost scope (no-op at the root).
-    pub fn pop_scope(&self) {
-        self.scope_stack.borrow_mut().pop();
-    }
-
     fn current_scope(&self) -> u32 {
         self.scope_stack.borrow().last().copied().unwrap_or(0)
     }
@@ -499,16 +468,6 @@ impl Tape {
         )
     }
 
-    /// Elementwise addition of equal shapes.
-    pub fn add(&self, a: Var, b: Var) -> Var {
-        let mut timer = self.prof_op("add");
-        let (va, vb) = (self.value_rc(a), self.value_rc(b));
-        enforce(shape::same_shape("add", va.shape(), vb.shape()));
-        timer.set_cost(cost::zip(va.len(), 1));
-        let out = va.zip_map(&vb, |x, y| x + y);
-        self.push(out, Op::Add(a.index(), b.index()))
-    }
-
     /// Adds a `[d]` bias to every row of `[n, d]`.
     pub fn add_bias(&self, x: Var, bias: Var) -> Var {
         let mut timer = self.prof_op("add_bias");
@@ -569,12 +528,6 @@ impl Tape {
         self.push(out, Op::MatMulTransB(a.index(), b.index()))
     }
 
-    /// Affine map `x w + b`: a [`matmul`](Self::matmul) then an
-    /// [`add_bias`](Self::add_bias), recorded as those two nodes.
-    pub fn linear(&self, x: Var, w: Var, b: Var) -> Var {
-        self.add_bias(self.matmul(x, w), b)
-    }
-
     /// Elementwise ReLU.
     pub fn relu(&self, a: Var) -> Var {
         let mut timer = self.prof_op("relu");
@@ -582,15 +535,6 @@ impl Tape {
         timer.set_cost(cost::map(va.len(), 1));
         let out = va.map(|x| x.max(0.0));
         self.push(out, Op::Relu(a.index()))
-    }
-
-    /// Elementwise GELU (fast/exact per [`crate::kernels::exact_gelu`]).
-    pub fn gelu(&self, a: Var) -> Var {
-        let mut timer = self.prof_op("gelu");
-        let va = self.value_rc(a);
-        timer.set_cost(cost::gelu(va.len()));
-        let out = va.gelu_forward();
-        self.push(out, Op::Gelu(a.index()))
     }
 
     /// Elementwise tanh.
@@ -613,86 +557,6 @@ impl Tape {
         self.push(out, Op::SoftmaxLastDim(a.index()))
     }
 
-    /// Layer normalization over the last dimension with learned `gamma` and
-    /// `beta` (both rank-1 of the last-dimension width).
-    pub fn layer_norm(&self, x: Var, gamma: Var, beta: Var) -> Var {
-        let mut timer = self.prof_op("layer_norm");
-        let vx = self.value_rc(x);
-        let vg = self.value_rc(gamma);
-        let vb = self.value_rc(beta);
-        enforce(shape::layer_norm(vx.shape(), vg.shape(), vb.shape()));
-        let d = *vx.shape().last().expect("layer_norm on rank-0");
-        let n = vx.len() / d;
-        timer.set_cost(cost::layer_norm(n, d));
-        let mut xhat = arena::alloc_zeroed(vx.len());
-        let mut inv_std = arena::alloc_zeroed(n);
-        let mut out = arena::alloc_zeroed(vx.len());
-        let (x_data, g_data, b_data) = (vx.data(), vg.data(), vb.data());
-        let ln_row = |r: usize, xhat_row: &mut [f32], out_row: &mut [f32], istd_out: &mut f32| {
-            let row = &x_data[r * d..(r + 1) * d];
-            let (mean, istd) = normalize_row(row, g_data, b_data, out_row);
-            *istd_out = istd;
-            for (xh, &v) in xhat_row.iter_mut().zip(row) {
-                *xh = (v - mean) * istd;
-            }
-        };
-        if rows_par_worthwhile(n, vx.len()) {
-            // Rows normalize independently; each task owns disjoint rows of
-            // all three outputs, with per-row math identical to the serial
-            // loop.
-            let (xhat_p, istd_p, out_p) = (
-                SendPtr(xhat.as_mut_ptr()),
-                SendPtr(inv_std.as_mut_ptr()),
-                SendPtr(out.as_mut_ptr()),
-            );
-            gs_par::for_each_index(n, |r| unsafe {
-                ln_row(
-                    r,
-                    xhat_p.slice_mut(r * d, d),
-                    out_p.slice_mut(r * d, d),
-                    &mut istd_p.slice_mut(r, 1)[0],
-                );
-            });
-        } else {
-            for r in 0..n {
-                ln_row(
-                    r,
-                    &mut xhat[r * d..(r + 1) * d],
-                    &mut out[r * d..(r + 1) * d],
-                    &mut inv_std[r],
-                );
-            }
-        }
-        self.push_with_aux(
-            Tensor::from_vec(vx.shape().to_vec(), out),
-            Op::LayerNorm { x: x.index(), gamma: gamma.index(), beta: beta.index() },
-            Some(Tensor::from_vec(vx.shape().to_vec(), xhat)),
-            Some(Tensor::from_vec(vec![n], inv_std)),
-        )
-    }
-
-    /// Gathers rows `ids` from an embedding `table` (rank-2), producing
-    /// `[ids.len(), d]`. Gradients scatter-add back into the table.
-    pub fn embed_gather(&self, table: Var, ids: &[usize]) -> Var {
-        let mut timer = self.prof_op("embed_gather");
-        let vt = self.value_rc(table);
-        enforce(shape::embed_gather(vt.shape(), ids.len(), ids.iter().copied().max()));
-        timer.set_cost(cost::gather(ids.len(), vt.cols()));
-        let out = vt.gather_rows(ids);
-        self.push(out, Op::EmbedGather { table: table.index(), ids: ids.to_vec() })
-    }
-
-    /// Applies a precomputed inverted-dropout mask (entries are either `0` or
-    /// `1/(1-p)`), recorded so backward reuses the same mask.
-    pub fn dropout_with_mask(&self, x: Var, mask: Tensor) -> Var {
-        let mut timer = self.prof_op("dropout");
-        let vx = self.value_rc(x);
-        enforce(shape::dropout(vx.shape(), mask.shape()));
-        timer.set_cost(cost::zip(vx.len(), 1));
-        let out = vx.zip_map(&mask, |a, m| a * m);
-        self.push_with_aux(out, Op::Dropout { x: x.index() }, Some(mask), None)
-    }
-
     /// Column-wise concatenation of rank-2 tensors.
     pub fn concat_cols(&self, parts: &[Var]) -> Var {
         let mut timer = self.prof_op("concat_cols");
@@ -713,44 +577,6 @@ impl Tape {
         timer.set_cost(cost::copy(vx.rows() * (end - start)));
         let out = vx.slice_cols(start, end);
         self.push(out, Op::SliceCols { x: x.index(), start })
-    }
-
-    /// Multi-head self-attention over one sequence: per head, the column
-    /// slices of `q`, `k` and `v`, `softmax(q kᵀ · scale) v`, then the heads
-    /// concatenated. Recorded as those per-head nodes, so backward composes
-    /// their gradients.
-    ///
-    /// # Panics
-    /// Panics on a [`shape::attention`] violation, or if `seqs` holds more
-    /// than one sequence.
-    pub fn attention(
-        &self,
-        q: Var,
-        k: Var,
-        v: Var,
-        seqs: &[(usize, usize)],
-        n_heads: usize,
-        scale: f32,
-    ) -> Var {
-        let width = {
-            let (vq, vk, vv) = (self.value_rc(q), self.value_rc(k), self.value_rc(v));
-            enforce(shape::attention(vq.shape(), vk.shape(), vv.shape(), seqs, n_heads));
-            vq.cols()
-        };
-        assert_eq!(seqs.len(), 1, "the tape runs attention over one sequence");
-        let dh = width / n_heads;
-        let heads: Vec<Var> = (0..n_heads)
-            .map(|head| {
-                let (s, e) = (head * dh, (head + 1) * dh);
-                let qh = self.slice_cols(q, s, e);
-                let kh = self.slice_cols(k, s, e);
-                let vh = self.slice_cols(v, s, e);
-                let scores = self.scale(self.matmul_transb(qh, kh), scale);
-                let attn = self.softmax_last_dim(scores);
-                self.matmul(attn, vh)
-            })
-            .collect();
-        self.concat_cols(&heads)
     }
 
     /// Mean over all elements.
@@ -1125,7 +951,8 @@ fn export_kind(node: &Node) -> OpKind {
 /// the values-only [`Evaluator`](crate::Evaluator) for serving, and
 /// gs-check's `SymTape`, which traces shapes in milliseconds without
 /// touching tensor data. The trait holds exactly the ops that code calls;
-/// other ops are inherent methods of the implementations that have them.
+/// the tape's other ops (`matmul`, `softmax_last_dim`, `cross_entropy`, …)
+/// are inherent methods.
 pub trait TapeOps {
     /// Binds parameter `id` of `store` as a trainable leaf labeled with its
     /// name.
@@ -1163,26 +990,104 @@ pub trait TapeOps {
 
 impl TapeOps for Tape {
     fn param(&self, store: &ParamStore, id: ParamId) -> Var {
-        Tape::leaf_labeled(self, store.value(id), store.name(id))
+        self.leaf_labeled(store.value(id), store.name(id))
     }
+
     fn add(&self, a: Var, b: Var) -> Var {
-        Tape::add(self, a, b)
+        let mut timer = self.prof_op("add");
+        let (va, vb) = (self.value_rc(a), self.value_rc(b));
+        enforce(shape::same_shape("add", va.shape(), vb.shape()));
+        timer.set_cost(cost::zip(va.len(), 1));
+        let out = va.zip_map(&vb, |x, y| x + y);
+        self.push(out, Op::Add(a.index(), b.index()))
     }
+
     fn linear(&self, x: Var, w: Var, b: Var) -> Var {
-        Tape::linear(self, x, w, b)
+        self.add_bias(self.matmul(x, w), b)
     }
+
     fn gelu(&self, a: Var) -> Var {
-        Tape::gelu(self, a)
+        let mut timer = self.prof_op("gelu");
+        let va = self.value_rc(a);
+        timer.set_cost(cost::gelu(va.len()));
+        let out = va.gelu_forward();
+        self.push(out, Op::Gelu(a.index()))
     }
+
     fn layer_norm(&self, x: Var, gamma: Var, beta: Var) -> Var {
-        Tape::layer_norm(self, x, gamma, beta)
+        let mut timer = self.prof_op("layer_norm");
+        let vx = self.value_rc(x);
+        let vg = self.value_rc(gamma);
+        let vb = self.value_rc(beta);
+        enforce(shape::layer_norm(vx.shape(), vg.shape(), vb.shape()));
+        let d = *vx.shape().last().expect("layer_norm on rank-0");
+        let n = vx.len() / d;
+        timer.set_cost(cost::layer_norm(n, d));
+        let mut xhat = arena::alloc_zeroed(vx.len());
+        let mut inv_std = arena::alloc_zeroed(n);
+        let mut out = arena::alloc_zeroed(vx.len());
+        let (x_data, g_data, b_data) = (vx.data(), vg.data(), vb.data());
+        let ln_row = |r: usize, xhat_row: &mut [f32], out_row: &mut [f32], istd_out: &mut f32| {
+            let row = &x_data[r * d..(r + 1) * d];
+            let (mean, istd) = normalize_row(row, g_data, b_data, out_row);
+            *istd_out = istd;
+            for (xh, &v) in xhat_row.iter_mut().zip(row) {
+                *xh = (v - mean) * istd;
+            }
+        };
+        if rows_par_worthwhile(n, vx.len()) {
+            // Rows normalize independently; each task owns disjoint rows of
+            // all three outputs, with per-row math identical to the serial
+            // loop.
+            let (xhat_p, istd_p, out_p) = (
+                SendPtr(xhat.as_mut_ptr()),
+                SendPtr(inv_std.as_mut_ptr()),
+                SendPtr(out.as_mut_ptr()),
+            );
+            gs_par::for_each_index(n, |r| unsafe {
+                ln_row(
+                    r,
+                    xhat_p.slice_mut(r * d, d),
+                    out_p.slice_mut(r * d, d),
+                    &mut istd_p.slice_mut(r, 1)[0],
+                );
+            });
+        } else {
+            for r in 0..n {
+                ln_row(
+                    r,
+                    &mut xhat[r * d..(r + 1) * d],
+                    &mut out[r * d..(r + 1) * d],
+                    &mut inv_std[r],
+                );
+            }
+        }
+        self.push_with_aux(
+            Tensor::from_vec(vx.shape().to_vec(), out),
+            Op::LayerNorm { x: x.index(), gamma: gamma.index(), beta: beta.index() },
+            Some(Tensor::from_vec(vx.shape().to_vec(), xhat)),
+            Some(Tensor::from_vec(vec![n], inv_std)),
+        )
     }
+
     fn embed_gather(&self, table: Var, ids: &[usize]) -> Var {
-        Tape::embed_gather(self, table, ids)
+        let mut timer = self.prof_op("embed_gather");
+        let vt = self.value_rc(table);
+        enforce(shape::embed_gather(vt.shape(), ids.len(), ids.iter().copied().max()));
+        timer.set_cost(cost::gather(ids.len(), vt.cols()));
+        let out = vt.gather_rows(ids);
+        self.push(out, Op::EmbedGather { table: table.index(), ids: ids.to_vec() })
     }
+
     fn dropout_with_mask(&self, x: Var, mask: Tensor) -> Var {
-        Tape::dropout_with_mask(self, x, mask)
+        let mut timer = self.prof_op("dropout");
+        let vx = self.value_rc(x);
+        enforce(shape::dropout(vx.shape(), mask.shape()));
+        timer.set_cost(cost::zip(vx.len(), 1));
+        let out = vx.zip_map(&mask, |a, m| a * m);
+        self.push_with_aux(out, Op::Dropout { x: x.index() }, Some(mask), None)
     }
+
     fn attention(
         &self,
         q: Var,
@@ -1192,13 +1097,53 @@ impl TapeOps for Tape {
         n_heads: usize,
         scale: f32,
     ) -> Var {
-        Tape::attention(self, q, k, v, seqs, n_heads, scale)
+        let width = {
+            let (vq, vk, vv) = (self.value_rc(q), self.value_rc(k), self.value_rc(v));
+            enforce(shape::attention(vq.shape(), vk.shape(), vv.shape(), seqs, n_heads));
+            vq.cols()
+        };
+        assert_eq!(seqs.len(), 1, "the tape runs attention over one sequence");
+        let dh = width / n_heads;
+        let heads: Vec<Var> = (0..n_heads)
+            .map(|head| {
+                let (s, e) = (head * dh, (head + 1) * dh);
+                let qh = self.slice_cols(q, s, e);
+                let kh = self.slice_cols(k, s, e);
+                let vh = self.slice_cols(v, s, e);
+                let scores = self.scale(self.matmul_transb(qh, kh), scale);
+                let attn = self.softmax_last_dim(scores);
+                self.matmul(attn, vh)
+            })
+            .collect();
+        self.concat_cols(&heads)
     }
+
     fn push_scope(&self, name: &str) {
-        Tape::push_scope(self, name)
+        let parent = self.current_scope();
+        let full = {
+            let scopes = self.scopes.borrow();
+            let parent_name = &scopes[parent as usize];
+            if parent_name.is_empty() {
+                name.to_string()
+            } else {
+                format!("{parent_name}.{name}")
+            }
+        };
+        let id = {
+            let mut scopes = self.scopes.borrow_mut();
+            match scopes.iter().position(|s| *s == full) {
+                Some(i) => i as u32,
+                None => {
+                    scopes.push(full);
+                    (scopes.len() - 1) as u32
+                }
+            }
+        };
+        self.scope_stack.borrow_mut().push(id);
     }
+
     fn pop_scope(&self) {
-        Tape::pop_scope(self)
+        self.scope_stack.borrow_mut().pop();
     }
 }
 

@@ -3,7 +3,7 @@
 //! forward and backward. Shapes are chosen to straddle the dispatch
 //! cutoffs so both the parallel and serial branches are exercised.
 
-use gs_tensor::{Tape, Tensor};
+use gs_tensor::{Tape, TapeOps, Tensor};
 
 /// Deterministic, generator-free pseudo-random fill (xorshift-ish on the
 /// index) so the same data feeds both pool sizes.

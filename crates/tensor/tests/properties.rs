@@ -4,7 +4,7 @@
 //! names the case and its input.
 
 use gs_obs::Rng;
-use gs_tensor::{Tape, Tensor};
+use gs_tensor::{Tape, TapeOps, Tensor};
 
 /// Cases per property.
 const CASES: u64 = 64;
