@@ -65,7 +65,7 @@ impl<'p> Evaluator<'p> {
         }
     }
 
-    /// The value of `var`.
+    /// The value of `var`; drop the guard before recording another op.
     pub fn value(&self, var: Var) -> Ref<'_, Tensor> {
         Ref::map(self.values.borrow(), |values| values[var.index()].tensor())
     }
