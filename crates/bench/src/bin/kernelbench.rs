@@ -103,54 +103,38 @@ fn configure(after: bool) {
     arena::clear();
 }
 
-/// Median, min and max of one arm's samples, in ns.
-struct Spread {
-    median: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Spread {
-    fn of(mut samples: Vec<f64>) -> Spread {
-        samples.sort_by(f64::total_cmp);
-        Spread {
-            median: samples[samples.len() / 2],
-            min: samples[0],
-            max: samples[samples.len() - 1],
-        }
-    }
-}
-
-/// Times the seed ("before") and optimized ("after") arms `rounds` times
-/// each with `sample(after)`, interleaved: every round runs both arms back
-/// to back and alternates which goes first.
-fn interleaved(rounds: usize, mut sample: impl FnMut(bool) -> f64) -> (Spread, Spread) {
-    let (mut before, mut after) = (Vec::new(), Vec::new());
+/// Times the seed ("before", index 0) and optimized ("after", index 1)
+/// arms `rounds` times each with `sample(after)`, interleaved: every round
+/// runs both arms back to back and alternates which goes first. Returns
+/// each arm's samples in ns, sorted.
+fn interleaved(rounds: usize, mut sample: impl FnMut(bool) -> f64) -> [Vec<f64>; 2] {
+    let mut arms = [Vec::new(), Vec::new()];
     for round in 0..rounds {
-        let order = if round % 2 == 0 { [false, true] } else { [true, false] };
-        for arm in order {
-            configure(arm);
-            let ns = sample(arm);
-            if arm {
-                after.push(ns)
-            } else {
-                before.push(ns)
-            }
+        for after in [round % 2 == 1, round % 2 == 0] {
+            configure(after);
+            arms[usize::from(after)].push(sample(after));
         }
     }
-    (Spread::of(before), Spread::of(after))
+    arms.map(|mut samples| {
+        samples.sort_by(f64::total_cmp);
+        samples
+    })
+}
+
+fn median(sorted: &[f64]) -> f64 {
+    sorted[sorted.len() / 2]
 }
 
 /// An end-to-end comparison as JSON: each arm's median with its range.
-fn arms_json(before: &Spread, after: &Spread) -> Vec<(&'static str, Json)> {
+fn arms_json([before, after]: &[Vec<f64>; 2]) -> Vec<(&'static str, Json)> {
     vec![
-        ("before_ns", before.median.into()),
-        ("before_min_ns", before.min.into()),
-        ("before_max_ns", before.max.into()),
-        ("after_ns", after.median.into()),
-        ("after_min_ns", after.min.into()),
-        ("after_max_ns", after.max.into()),
-        ("speedup", Json::from(before.median / after.median)),
+        ("before_ns", median(before).into()),
+        ("before_min_ns", before[0].into()),
+        ("before_max_ns", before[before.len() - 1].into()),
+        ("after_ns", median(after).into()),
+        ("after_min_ns", after[0].into()),
+        ("after_max_ns", after[after.len() - 1].into()),
+        ("speedup", Json::from(median(before) / median(after))),
     ]
 }
 
@@ -298,7 +282,7 @@ fn main() {
     let fwd_reps = if smoke { 3 } else { 20 };
     let rounds = if smoke { 3 } else { 7 };
 
-    let (fwd_before, fwd_after) = interleaved(rounds, |after| {
+    let fwd = interleaved(rounds, |after| {
         let run = || {
             time_ns(fwd_reps, || {
                 let _ = model.predict_classes_batch(&refs);
@@ -310,10 +294,12 @@ fn main() {
             run()
         }
     });
-    let forward_speedup = fwd_before.median / fwd_after.median;
+    let forward_speedup = median(&fwd[0]) / median(&fwd[1]);
     println!(
         "{:>14}  {:>10.0} -> {:>10.0} ns  ({forward_speedup:.2}x, medians of {rounds})",
-        "forward e2e", fwd_before.median, fwd_after.median
+        "forward e2e",
+        median(&fwd[0]),
+        median(&fwd[1])
     );
 
     // The after-forward under the op profiler: how much of attributed time
@@ -350,7 +336,7 @@ fn main() {
         batch_size: 8,
         ..Default::default()
     };
-    let (train_before, train_after) = interleaved(rounds, |after| {
+    let train = interleaved(rounds, |after| {
         gs_par::with_threads(1, || {
             let mut m = TokenClassifier::new(config.clone(), VOCAB, num_classes, 43);
             let mut run = || {
@@ -365,10 +351,12 @@ fn main() {
             }
         })
     });
-    let train_speedup = train_before.median / train_after.median;
+    let train_speedup = median(&train[0]) / median(&train[1]);
     println!(
         "{:>14}  {:>10.0} -> {:>10.0} ns  ({train_speedup:.2}x, medians of {rounds})",
-        "train e2e", train_before.median, train_after.median
+        "train e2e",
+        median(&train[0]),
+        median(&train[1])
     );
 
     // Serving forward in the after configuration, on the default pool:
@@ -409,11 +397,11 @@ fn main() {
         ("ops", Json::Arr(vec![mm, mmtb, mmta, gelu, softmax])),
         ("rounds", rounds.into()),
         ("forward", {
-            let mut fields = arms_json(&fwd_before, &fwd_after);
+            let mut fields = arms_json(&fwd);
             fields.push(("gelu_share_of_attributed", gelu_share.into()));
             Json::obj(fields)
         }),
-        ("train_step", Json::obj(arms_json(&train_before, &train_after))),
+        ("train_step", Json::obj(arms_json(&train))),
         ("serve_forward", Json::obj(vec![("f32_ns", serve_f32_ns.into())])),
         (
             "gates",
