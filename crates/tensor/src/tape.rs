@@ -968,7 +968,7 @@ pub trait TapeOps {
     fn layer_norm(&self, x: Var, gamma: Var, beta: Var) -> Var;
     /// Row gather from an embedding table.
     fn embed_gather(&self, table: Var, ids: &[usize]) -> Var;
-    /// Inverted dropout with a precomputed mask.
+    /// Inverted dropout with a precomputed mask (entries `0` or `1/(1-p)`).
     fn dropout_with_mask(&self, x: Var, mask: Tensor) -> Var;
     /// Multi-head self-attention of `q`, `k`, `v` (`[rows, d]`) within each
     /// sequence of `seqs` (`(start, len)` rows tiling `0..rows`), with
@@ -982,7 +982,8 @@ pub trait TapeOps {
         n_heads: usize,
         scale: f32,
     ) -> Var;
-    /// Enters a named provenance scope.
+    /// Enters a named provenance scope; nested scopes join with dots
+    /// (`l0` then `attn` is `l0.attn`).
     fn push_scope(&self, name: &str);
     /// Leaves the innermost scope.
     fn pop_scope(&self);
