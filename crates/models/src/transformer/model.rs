@@ -253,7 +253,9 @@ impl TokenClassifier {
     /// (on the [`Evaluator`]); it never applies dropout.
     ///
     /// # Panics
-    /// Panics if every sequence is empty.
+    /// Panics if every sequence is empty, and on the autograd
+    /// [`Tape`](gs_tensor::Tape) unless exactly one is non-empty: the
+    /// tape's [`attention`](TapeOps::attention) runs one sequence.
     pub fn forward_batch<T: TapeOps>(
         &self,
         tape: &T,
@@ -559,6 +561,61 @@ mod tests {
     fn empty_input_predicts_empty() {
         let model = TokenClassifier::new(tiny_config(), 30, 5, 1);
         assert!(model.predict_classes(&[]).is_empty());
+    }
+
+    #[test]
+    fn batched_prediction_matches_single_roberta() {
+        let model = TokenClassifier::new(tiny_config(), 30, 5, 11);
+        let seqs: Vec<Vec<usize>> = vec![
+            vec![1, 5, 9, 2],
+            vec![3],
+            vec![7, 7, 7, 7, 7, 7],
+            (0..25).map(|i| i % 30).collect(), // exceeds max_len: truncated
+        ];
+        let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
+        let batched = model.predict_classes_batch(&refs);
+        for (seq, batch_out) in seqs.iter().zip(&batched) {
+            assert_eq!(batch_out, &model.predict_classes(seq));
+        }
+    }
+
+    #[test]
+    fn batched_prediction_matches_single_bert() {
+        let mut cfg = tiny_config();
+        cfg.family = ModelFamily::Bert;
+        let model = TokenClassifier::new(cfg, 30, 5, 13);
+        let seqs: Vec<Vec<usize>> = vec![vec![2, 4, 6], vec![1, 1], vec![9, 8, 7, 6, 5]];
+        let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
+        let batched = model.predict_classes_batch(&refs);
+        for (seq, batch_out) in seqs.iter().zip(&batched) {
+            assert_eq!(batch_out, &model.predict_classes(seq));
+        }
+    }
+
+    /// An over-length sequence mid-batch: its kept rows match the taped
+    /// forward, its cut tail is class 0, and the sequences after it read
+    /// their own rows.
+    #[test]
+    fn over_length_sequence_mid_batch_pads_its_tail_with_class_zero() {
+        for family in [ModelFamily::Roberta, ModelFamily::Bert] {
+            let mut cfg = tiny_config();
+            cfg.family = family;
+            let model = TokenClassifier::new(cfg, 30, 5, 17);
+            let long: Vec<usize> = (0..25).map(|i| (i * 7) % 30).collect();
+            let seqs: [&[usize]; 4] = [&[4, 8], &long, &[], &[3, 1, 4, 1, 5]];
+            let batched = model.predict_classes_batch(&seqs);
+            for (seq, classes) in seqs.iter().zip(&batched) {
+                let kept = &seq[..seq.len().min(16)];
+                let mut want = Vec::new();
+                if !kept.is_empty() {
+                    let tape = Tape::new();
+                    let logits = model.forward(&tape, &mut Binder::new(&tape), kept, None);
+                    want = tape.value(logits).argmax_rows();
+                }
+                want.resize(seq.len(), 0);
+                assert_eq!(classes, &want, "{family:?}: {seq:?}");
+            }
+        }
     }
 
     #[test]
