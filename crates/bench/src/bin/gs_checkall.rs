@@ -2,10 +2,12 @@
 //! configuration the paper evaluates.
 //!
 //! For each Figure-4 variant (RoBERTa-sim, DistilRoBERTa-sim, BERT-sim,
-//! DistilBERT-sim) it instantiates the model, traces a full-length forward
-//! plus loss over the gs-check symbolic tape, and runs every shape rule and
-//! autograd lint — no forward pass is ever executed, so the whole sweep
-//! takes milliseconds. Exit status is non-zero if any finding is reported.
+//! DistilBERT-sim) it instantiates the model, traces the training forward
+//! (one full-length sequence) and the serving forward (a packed batch of
+//! several sequences) under one loss over the gs-check symbolic tape, and
+//! runs every shape rule and autograd lint — no forward pass is ever
+//! executed, so the whole sweep takes milliseconds. Exit status is non-zero
+//! if any finding is reported.
 //!
 //! ```text
 //! gs-checkall [--vocab N] [--seed S] [--obs-jsonl PATH] [--no-obs]

@@ -172,8 +172,13 @@ impl<'t, T: TapeOps> Binder<'t, T> {
     }
 
     /// Binds parameter `id` on the tape as a trainable leaf labeled with
-    /// the parameter's name ([`TapeOps::param`]).
+    /// the parameter's name ([`TapeOps::param`]). An id bound before gets
+    /// its first leaf back, so two forwards traced on one tape share each
+    /// parameter.
     pub fn bind(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        if let Some(&(_, var)) = self.bindings.iter().find(|(bound, _)| *bound == id) {
+            return var;
+        }
         let var = self.tape.param(store, id);
         self.bindings.push((id, var));
         var
@@ -437,6 +442,17 @@ mod tests {
         let mut grads = tape.backward(loss);
         binder.accumulate(&mut grads, &mut store);
         assert_eq!(store.grad(id).expect("grad").data(), &[1.0, 1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn binder_binds_each_parameter_once() {
+        let mut store = ParamStore::new();
+        let id = store.register("w", Tensor::vector(&[1.0, 2.0]));
+        let tape = Tape::new();
+        let mut binder = Binder::new(&tape);
+        let first = binder.bind(&store, id);
+        assert_eq!(binder.bind(&store, id), first);
+        assert_eq!(tape.len(), 1);
     }
 
     #[test]
