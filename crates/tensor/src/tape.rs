@@ -973,6 +973,9 @@ pub trait TapeOps {
     /// Multi-head self-attention of `q`, `k`, `v` (`[rows, d]`) within each
     /// sequence of `seqs` (`(start, len)` rows tiling `0..rows`), with
     /// scores scaled by `scale`; the shape rule is [`shape::attention`].
+    /// The autograd [`Tape`] takes exactly one sequence (training runs one
+    /// per tape) and panics on more. That limit is not part of the shape
+    /// rule, so gs-check does not report it.
     fn attention(
         &self,
         q: Var,
