@@ -305,6 +305,7 @@ fn main() {
     // The after-forward under the op profiler: how much of attributed time
     // the (fast) gelu still takes. A regression here means the activation
     // crept back into the hot set.
+    configure(true);
     prof::reset();
     prof::set_enabled(true);
     arena::scope(|| {
