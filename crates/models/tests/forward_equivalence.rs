@@ -101,17 +101,3 @@ fn evaluator_logits_equal_the_taped_forward_bit_for_bit() {
         }
     }
 }
-
-#[test]
-fn evaluator_applies_dropout_masks_like_the_tape() {
-    for family in [ModelFamily::Roberta, ModelFamily::Bert] {
-        let model = model(family);
-        let ids = seq(MAX_LEN, 9);
-        let masks = model.draw_dropout_masks(ids.len(), &mut Rng::seed_from_u64(5));
-        let tape = Tape::new();
-        let taped = model.forward_with_masks(&tape, &mut Binder::new(&tape), &ids, &masks);
-        let eval = Evaluator::new(model.store());
-        let evaluated = model.forward_with_masks(&eval, &mut Binder::new(&eval), &ids, &masks);
-        assert_eq!(bits(&eval.value(evaluated)), bits(&tape.value(taped)), "{family:?}");
-    }
-}
