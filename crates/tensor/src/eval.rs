@@ -3,7 +3,8 @@
 //! [`Evaluator`] runs the same model code the autograd [`Tape`](crate::Tape)
 //! records, but keeps only each op's output. Parameters are bound by
 //! reference to their [`ParamStore`] (no copy), nothing is kept for a
-//! backward pass, and every output comes from the buffer arena. Its
+//! backward pass, every output comes from the buffer arena, and there is
+//! no dropout, which serving never applies. Its
 //! [`attention`](TapeOps::attention) takes any number of sequences packed
 //! into one row block and fans the per-sequence work out across the gs-par
 //! pool, so one forward serves a whole micro-batch while each sequence
