@@ -115,6 +115,12 @@ impl LinearDetector {
         LinearDetector { weights, bias, dim: config.dim, normalizer }
     }
 
+    /// The hashed feature indices of `text`, in the order
+    /// [`score`](ObjectiveDetector::score) adds their weights.
+    pub fn feature_indices(&self, text: &str) -> Vec<usize> {
+        features(&self.normalizer, text, self.dim)
+    }
+
     /// Rebuilds a detector from saved parts (see [`save_text`](Self::save_text)).
     pub fn from_parts(dim: usize, bias: f32, weights: Vec<f32>) -> Self {
         assert_eq!(weights.len(), dim, "weight vector must match dim");

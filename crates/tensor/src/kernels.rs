@@ -365,6 +365,56 @@ mod tests {
         }
     }
 
+    type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+    /// Every `gemm_panel` build this host can run, by name.
+    fn builds() -> Vec<(&'static str, Gemm)> {
+        vec![("gemm_panel", gemm_panel)]
+    }
+
+    /// Each build against the reference kernels on `Tensor` (the `ikj`
+    /// matmul and the dot-product `matmul_transb`), on seeded shapes that
+    /// cross the `MR`, `KU` and `KC` boundaries and on panels holding
+    /// partial sums.
+    #[test]
+    fn every_build_matches_the_reference_kernels() {
+        use crate::Tensor;
+        let mut rng = gs_obs::Rng::seed_from_u64(31);
+        for case in 0..60u64 {
+            let rows = rng.random_range(1..12usize);
+            let k = rng.random_range(1..600usize);
+            let n = rng.random_range(1..80usize);
+            let a = Tensor::from_vec(vec![rows, k], synth(rows * k, 2 * case + 1));
+            let b = Tensor::from_vec(vec![k, n], synth(k * n, 2 * case + 2));
+            let want = a.matmul_reference(&b);
+            let bt = Tensor::from_vec(vec![n, k], {
+                let mut t = vec![0.0; k * n];
+                pack_transpose(b.data(), &mut t, k, n);
+                t
+            });
+            assert_eq!(a.matmul_transb_reference(&bt).data(), want.data());
+            let partial = synth(rows * n, 1000 + case);
+            for (name, gemm) in builds() {
+                let mut out = vec![0.0f32; rows * n];
+                gemm(a.data(), b.data(), &mut out, rows, k, n);
+                assert_eq!(out, want.data(), "{name} rows={rows} k={k} n={n}");
+                // Accumulating onto partial sums: each element's chain starts
+                // from its old value.
+                let mut acc = partial.clone();
+                gemm(a.data(), b.data(), &mut acc, rows, k, n);
+                let mut expect = partial.clone();
+                for i in 0..rows {
+                    for j in 0..n {
+                        for p in 0..k {
+                            expect[i * n + j] += a.data()[i * k + p] * b.data()[p * n + j];
+                        }
+                    }
+                }
+                assert_eq!(acc, expect, "{name} accumulate rows={rows} k={k} n={n}");
+            }
+        }
+    }
+
     #[test]
     fn pack_transpose_round_trips() {
         let src = synth(6 * 4, 11);
