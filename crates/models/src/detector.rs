@@ -6,8 +6,14 @@
 //! own detector is a fine-tuned transformer; the pipeline accepts any
 //! [`ObjectiveDetector`], and a transformer-backed one can be plugged in
 //! where accuracy matters more than throughput.
+//!
+//! Each feature (`u=` unigram, `s=` word shape, `b=` bigram, `has_pct`,
+//! `has_year`, `len=` length bucket) is FNV-1a hashed piece by piece
+//! straight from the lowercased tokens, so extracting a text's features
+//! builds no string per feature. `tests/detector_equivalence.rs` pins the
+//! indices, scores and trained weights to the string-building form.
 
-use crate::features::{looks_like_year, word_shape};
+use crate::features::{looks_like_year, push_word_shape};
 use gs_obs::Rng;
 use gs_text::{pretokenize, Normalizer};
 
@@ -52,37 +58,71 @@ pub struct LinearDetector {
     normalizer: Normalizer,
 }
 
-/// FNV-1a over bytes, cheap and deterministic.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
+/// FNV-1a, cheap and deterministic, fed piece by piece: hashing `"u="`
+/// and then `"co2"` equals hashing `"u=co2"`.
+#[derive(Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const START: Fnv1a = Fnv1a(0xcbf29ce484222325);
+
+    fn str(mut self, s: &str) -> Fnv1a {
+        for b in s.as_bytes() {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+        self
     }
-    h
 }
 
+/// The `len=` bucket names, `(tokens / 5).min(10)`.
+const LEN_BUCKETS: [&str; 11] = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10"];
+
+/// The hashed feature indices of `text`, in the order the weights are
+/// summed: per token its unigram, shape and (but for the last) bigram,
+/// then `has_pct`, `has_year` and the length bucket.
 fn features(normalizer: &Normalizer, text: &str, dim: usize) -> Vec<usize> {
     let text = normalizer.normalize(text);
     let tokens = pretokenize(&text);
-    let lowers: Vec<String> = tokens.iter().map(|t| t.text.to_lowercase()).collect();
-    let mut out = Vec::with_capacity(lowers.len() * 3 + 4);
-    let mut push = |f: String| out.push((fnv1a(&f) % dim as u64) as usize);
-    for (i, low) in lowers.iter().enumerate() {
-        push(format!("u={low}"));
-        push(format!("s={}", word_shape(&tokens[i].text)));
-        if i + 1 < lowers.len() {
-            push(format!("b={low}_{}", lowers[i + 1]));
+    // Every lowercased token in one buffer; token i ends at `ends[i]`.
+    let mut lowers = String::with_capacity(text.len());
+    let mut ends = Vec::with_capacity(tokens.len());
+    for t in &tokens {
+        if t.text.is_ascii() {
+            lowers.extend(t.text.bytes().map(|b| char::from(b.to_ascii_lowercase())));
+        } else {
+            lowers.push_str(&t.text.to_lowercase());
+        }
+        ends.push(lowers.len());
+    }
+    let lower = |i: usize| &lowers[if i == 0 { 0 } else { ends[i - 1] }..ends[i]];
+    let n = tokens.len();
+    let mut out = Vec::with_capacity(n * 3 + 3);
+    let mut push = |h: Fnv1a| out.push((h.0 % dim as u64) as usize);
+    let mut shape = String::new();
+    for (i, token) in tokens.iter().enumerate() {
+        push(Fnv1a::START.str("u=").str(lower(i)));
+        shape.clear();
+        push_word_shape(&token.text, &mut shape);
+        push(Fnv1a::START.str("s=").str(&shape));
+        if i + 1 < n {
+            push(Fnv1a::START.str("b=").str(lower(i)).str("_").str(lower(i + 1)));
         }
     }
-    if lowers.iter().any(|l| l == "%") {
-        push("has_pct".into());
+    if (0..n).any(|i| lower(i) == "%") {
+        push(Fnv1a::START.str("has_pct"));
     }
-    if lowers.iter().any(|l| looks_like_year(l)) {
-        push("has_year".into());
+    if (0..n).any(|i| looks_like_year(lower(i))) {
+        push(Fnv1a::START.str("has_year"));
     }
-    push(format!("len={}", (lowers.len() / 5).min(10)));
+    push(Fnv1a::START.str("len=").str(LEN_BUCKETS[(n / 5).min(10)]));
     out
+}
+
+/// `σ(bias + Σ weights[f])`, the weights summed in feature order.
+fn probability(bias: f32, weights: &[f32], feats: &[usize]) -> f32 {
+    let z: f32 = bias + feats.iter().map(|&f| weights[f]).sum::<f32>();
+    1.0 / (1.0 + (-z).exp())
 }
 
 impl LinearDetector {
@@ -103,9 +143,7 @@ impl LinearDetector {
             rng.shuffle(&mut order);
             for &i in &order {
                 let (feats, y) = &featurized[i];
-                let z: f32 = bias + feats.iter().map(|&f| weights[f]).sum::<f32>();
-                let p = 1.0 / (1.0 + (-z).exp());
-                let grad = p - y;
+                let grad = probability(bias, &weights, feats) - y;
                 bias -= config.lr * grad;
                 for &f in feats {
                     weights[f] -= config.lr * (grad + config.l2 * weights[f]);
@@ -177,9 +215,7 @@ impl LinearDetector {
 
 impl ObjectiveDetector for LinearDetector {
     fn score(&self, text: &str) -> f32 {
-        let feats = features(&self.normalizer, text, self.dim);
-        let z: f32 = self.bias + feats.iter().map(|&f| self.weights[f]).sum::<f32>();
-        1.0 / (1.0 + (-z).exp())
+        probability(self.bias, &self.weights, &self.feature_indices(text))
     }
 }
 

@@ -47,6 +47,12 @@ impl FeatureConfig {
 /// `dd%` for "20%"-like mixes, `x-x` keeps punctuation.
 pub fn word_shape(word: &str) -> String {
     let mut shape = String::new();
+    push_word_shape(word, &mut shape);
+    shape
+}
+
+/// Appends [`word_shape`]`(word)` to `shape`.
+pub(crate) fn push_word_shape(word: &str, shape: &mut String) {
     let mut last: Option<char> = None;
     let mut run_len = 0usize;
     for c in word.chars() {
@@ -71,7 +77,6 @@ pub fn word_shape(word: &str) -> String {
         }
         shape.push(s);
     }
-    shape
 }
 
 /// Whether a token looks like a calendar year (1900..=2099).

@@ -645,7 +645,7 @@ mod tests {
             ("emb", "embed_gather"),
             ("emb", "layer_norm"),
             ("l0.attn", "matmul"),
-            ("l0.attn", "softmax"),
+            ("l0.attn", "attention"),
             ("l0.ffn", "gelu"),
             ("head", "matmul"),
             ("head", "argmax"),

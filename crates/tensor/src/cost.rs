@@ -67,6 +67,18 @@ pub fn softmax(rows: usize, d: usize) -> Cost {
     Cost::new(5 * len, 5 * ELEM * len)
 }
 
+/// Fused attention over sequences of `lens` rows of width `d` in `heads`
+/// heads: per sequence of `n` rows, `QKᵀ` and `·V` at `2·n²·d` flops
+/// each, plus scale and softmax at 6 flops per score; q, k and v are read
+/// once and the output written once.
+pub fn attention(lens: impl IntoIterator<Item = usize>, d: usize, heads: usize) -> Cost {
+    let (d, heads) = (d as u64, heads as u64);
+    lens.into_iter().fold(Cost::new(0, 0), |acc, n| {
+        let n = n as u64;
+        Cost::new(acc.flops + 4 * n * n * d + 6 * n * n * heads, acc.bytes + 4 * ELEM * n * d)
+    })
+}
+
 /// Layer norm over `rows` rows of width `d`: mean, variance, normalize,
 /// scale and shift — about 8 flops per element. The kernel makes three
 /// streaming reads of x (mean, variance, normalize) and one write each of

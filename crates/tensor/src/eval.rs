@@ -6,20 +6,24 @@
 //! backward pass, every output comes from the buffer arena, and there is
 //! no dropout, which serving never applies. Its
 //! [`attention`](TapeOps::attention) takes any number of sequences packed
-//! into one row block and fans the per-sequence work out across the gs-par
-//! pool, so one forward serves a whole micro-batch while each sequence
-//! attends only within itself.
+//! into one row block and fans the sequences out across the gs-par pool,
+//! so one forward serves a whole micro-batch while each sequence attends
+//! only within itself. Each sequence is one fused pass over arena scratch
+//! (scores, softmax and the value mix per head and query row, written
+//! straight into the head's output columns), where the tape records
+//! per-head nodes for its backward pass; `tests/attention_equivalence.rs`
+//! pins the two bit for bit.
 //!
-//! Profiler samples are keyed by the evaluator's scope path and op name and
-//! recorded through explicit paths, because the attention loop runs on pool
-//! workers that never see scopes opened on the calling thread.
+//! Profiler samples are keyed by the evaluator's scope path and op name,
+//! one sample per op on the calling thread; attention is one `attention`
+//! sample that includes its pool fan-out.
 
 use crate::arena;
 use crate::cost;
 use crate::optim::{ParamId, ParamStore};
 use crate::shape;
 use crate::tape::{add_row_bias, enforce, normalize_row, TapeOps, Var};
-use crate::tensor::Tensor;
+use crate::tensor::{softmax_row_into, Tensor};
 use gs_obs::prof;
 use std::cell::{Ref, RefCell};
 
@@ -151,10 +155,10 @@ impl TapeOps for Evaluator<'_> {
         unreachable!("serving runs without dropout")
     }
 
-    /// Each sequence's attention is independent of every other's, so the
-    /// per-sequence mixes fan out across the gs-par pool; results are
-    /// concatenated in sequence order, making the output bit-identical to
-    /// the serial loop at any pool size.
+    /// One fused pass per sequence: [`attend`] runs every head without
+    /// building a per-head tensor. Sequences fan out across the gs-par pool
+    /// and write disjoint rows of the output, so the result is the same at
+    /// any pool size.
     fn attention(
         &self,
         q: Var,
@@ -167,52 +171,31 @@ impl TapeOps for Evaluator<'_> {
         self.op([q, k, v], |[q, k, v]| {
             enforce(shape::attention(q.shape(), k.shape(), v.shape(), seqs, n_heads));
             let (rows, d) = (q.rows(), q.cols());
-            let dh = d / n_heads;
-            let scope = self.scope.borrow();
-            let (prof, path) = (self.prof, scope.as_str());
-            let per_seq: Vec<Vec<f32>> = gs_par::map_collect(seqs.len(), |si| {
-                let (start, n) = seqs[si];
-                let (qs, ks, vs) =
-                    prof::time_at(prof, path, "slice_rows", cost::copy(3 * n * d), || {
-                        (
-                            q.slice_rows(start, start + n),
-                            k.slice_rows(start, start + n),
-                            v.slice_rows(start, start + n),
-                        )
-                    });
-                let mut heads = Vec::with_capacity(n_heads);
-                for head in 0..n_heads {
-                    let (s, e) = (head * dh, (head + 1) * dh);
-                    let (qh, kh, vh) =
-                        prof::time_at(prof, path, "slice_cols", cost::copy(3 * n * dh), || {
-                            (qs.slice_cols(s, e), ks.slice_cols(s, e), vs.slice_cols(s, e))
-                        });
-                    let scores =
-                        prof::time_at(prof, path, "matmul_transb", cost::matmul(n, dh, n), || {
-                            qh.matmul_transb(&kh)
-                        });
-                    let scores = prof::time_at(prof, path, "scale", cost::map(n * n, 1), || {
-                        scores.map(|x| x * scale)
-                    });
-                    let weights = prof::time_at(prof, path, "softmax", cost::softmax(n, n), || {
-                        scores.softmax_last_dim()
-                    });
-                    heads.push(prof::time_at(prof, path, "matmul", cost::matmul(n, n, dh), || {
-                        weights.matmul(&vh)
-                    }));
+            let cost = cost::attention(seqs.iter().map(|&(_, n)| n), d, n_heads);
+            self.timed("attention", cost, || {
+                let mut out = arena::alloc_zeroed(rows * d);
+                // The shape rule checked that `seqs` tile the rows in order.
+                let mut parts: Vec<&mut [f32]> = Vec::with_capacity(seqs.len());
+                let mut rest = out.as_mut_slice();
+                for &(_, n) in seqs {
+                    let (part, tail) = rest.split_at_mut(n * d);
+                    parts.push(part);
+                    rest = tail;
                 }
-                let head_refs: Vec<&Tensor> = heads.iter().collect();
-                prof::time_at(prof, path, "concat_cols", cost::copy(n * d), || {
-                    Tensor::concat_cols(&head_refs).into_data()
-                })
-            });
-            prof::time_at(prof, path, "concat_cols", cost::copy(rows * d), || {
-                let mut mixed = arena::alloc_empty(rows * d);
-                for seq in per_seq {
-                    mixed.extend_from_slice(&seq);
-                    arena::recycle(seq);
-                }
-                Tensor::from_vec(vec![rows, d], mixed)
+                gs_par::for_each_chunk_mut(&mut parts, 1, |si, part| {
+                    let (start, n) = seqs[si];
+                    let span = start * d..(start + n) * d;
+                    attend(
+                        &q.data()[span.clone()],
+                        &k.data()[span.clone()],
+                        &v.data()[span],
+                        d,
+                        n_heads,
+                        scale,
+                        part[0],
+                    );
+                });
+                Tensor::from_vec(vec![rows, d], out)
             })
         })
     }
@@ -234,4 +217,50 @@ impl TapeOps for Evaluator<'_> {
             self.scope.borrow_mut().truncate(mark);
         }
     }
+}
+
+/// One sequence's attention over all heads: `q`, `k` and `v` hold its rows
+/// (`[n, d]`), and `out` (`[n, d]`, zeroed) receives each head's mix in
+/// that head's columns. For each head and query row it takes the scores
+/// against every key as ascending-`k` dot products times `scale`, then
+/// `softmax_row_into`'s sequence (max, `exp` with a running sum, scale by
+/// the inverse), then `Σ_j w·v` in ascending `j`. Those are the
+/// operations, in the same order for every element, of the tape's per-head
+/// composition (`slice_cols`, `matmul_transb`, `scale`, `softmax_last_dim`,
+/// `matmul`, `concat_cols`), so the output equals it bit for bit.
+fn attend(q: &[f32], k: &[f32], v: &[f32], d: usize, n_heads: usize, scale: f32, out: &mut [f32]) {
+    let (n, dh) = (out.len() / d, d / n_heads);
+    // One head's keys transposed (`[dh, n]`), so each score row
+    // accumulates over `k` with `j` as the vector lane.
+    let mut keys = arena::alloc_zeroed(dh * n);
+    let mut scores = arena::alloc_zeroed(n);
+    let mut weights = arena::alloc_zeroed(n);
+    for c0 in (0..d).step_by(dh) {
+        for (j, row) in k.chunks_exact(d).enumerate() {
+            for (p, &x) in row[c0..c0 + dh].iter().enumerate() {
+                keys[p * n + j] = x;
+            }
+        }
+        for (q_row, out_row) in q.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+            scores.fill(0.0);
+            for (&qp, keys_p) in q_row[c0..c0 + dh].iter().zip(keys.chunks_exact(n)) {
+                for (s, &kp) in scores.iter_mut().zip(keys_p) {
+                    *s += qp * kp;
+                }
+            }
+            for s in scores.iter_mut() {
+                *s *= scale;
+            }
+            softmax_row_into(&scores, &mut weights);
+            let mix = &mut out_row[c0..c0 + dh];
+            for (&w, v_row) in weights.iter().zip(v.chunks_exact(d)) {
+                for (m, &x) in mix.iter_mut().zip(&v_row[c0..c0 + dh]) {
+                    *m += w * x;
+                }
+            }
+        }
+    }
+    arena::recycle(keys);
+    arena::recycle(scores);
+    arena::recycle(weights);
 }

@@ -119,8 +119,45 @@ pub fn set_exact_gelu(exact: bool) {
 /// caller, or holding partial sums).
 ///
 /// Each `out` element's adds happen in ascending `p` order through a single
-/// chain — see the module docs for why that pins bit-identity.
+/// chain — see the module docs for why that pins bit-identity. On x86-64
+/// hosts with AVX2 the same body runs compiled for AVX2 (see
+/// [`gemm_build`]).
 pub fn gemm_panel(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host supports AVX2, the only feature the build enables.
+        return unsafe { gemm_panel_avx2(a, b, out, rows, k, n) };
+    }
+    gemm_panel_portable(a, b, out, rows, k, n);
+}
+
+/// Which build of [`gemm_panel`] this host runs: `"avx2"` or `"portable"`.
+pub fn gemm_build() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
+
+/// [`gemm_panel`]'s body compiled for AVX2: 8-lane instead of 4-lane
+/// vectors over `j`. FMA stays off, and Rust never contracts `a * b + c`
+/// into one rounding, so every element keeps its two roundings per product
+/// and its ascending-`p` chain: the results equal the portable build's
+/// bit for bit.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_panel_avx2(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
+    gemm_panel_portable(a, b, out, rows, k, n);
+}
+
+/// [`gemm_panel`]'s body for the baseline target; inlined into
+/// [`gemm_panel_avx2`], where it compiles for AVX2.
+#[inline(always)]
+fn gemm_panel_portable(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
     assert_eq!(a.len(), rows * k, "gemm_panel lhs panel size");
     assert_eq!(b.len(), k * n, "gemm_panel rhs panel size");
     assert_eq!(out.len(), rows * n, "gemm_panel out panel size");
@@ -151,7 +188,7 @@ pub fn gemm_panel(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, 
 /// # Safety
 /// Requires `(i + MR) * k <= a.len()`, `(k0 + kc) * n <= b.len()` and
 /// `(i + MR) * n <= out.len()`.
-#[inline]
+#[inline(always)]
 unsafe fn micro_mr(
     a: &[f32],
     b: &[f32],
@@ -252,7 +289,7 @@ unsafe fn micro_mr(
 /// # Safety
 /// Requires `(i + 1) * k <= a.len()`, `(k0 + kc) * n <= b.len()` and
 /// `(i + 1) * n <= out.len()`.
-#[inline]
+#[inline(always)]
 unsafe fn micro_1(
     a: &[f32],
     b: &[f32],
@@ -367,9 +404,21 @@ mod tests {
 
     type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
 
-    /// Every `gemm_panel` build this host can run, by name.
+    /// Every `gemm_panel` build this host can run, by name: the portable
+    /// body runs on every host, so it stays pinned where the dispatch
+    /// picks AVX2.
     fn builds() -> Vec<(&'static str, Gemm)> {
-        vec![("gemm_panel", gemm_panel)]
+        let mut builds: Vec<(&'static str, Gemm)> =
+            vec![("portable", |a, b, out, rows, k, n| gemm_panel_portable(a, b, out, rows, k, n))];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the host supports AVX2.
+            builds.push(("avx2", |a, b, out, rows, k, n| unsafe {
+                gemm_panel_avx2(a, b, out, rows, k, n)
+            }));
+        }
+        builds.push(("dispatched", gemm_panel));
+        builds
     }
 
     /// Each build against the reference kernels on `Tensor` (the `ikj`

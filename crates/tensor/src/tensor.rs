@@ -733,7 +733,7 @@ impl fmt::Debug for Tensor {
 /// Same per-element operation sequence as the old in-place kernel
 /// (max scan, `exp` + running sum ascending, scale), so results are
 /// bit-equal; only the destination differs.
-fn softmax_row_into(src: &[f32], dst: &mut [f32]) {
+pub(crate) fn softmax_row_into(src: &[f32], dst: &mut [f32]) {
     let max = src.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut total = 0.0f32;
     for (d, &x) in dst.iter_mut().zip(src) {

@@ -1,18 +1,70 @@
 //! Trainable byte-pair encoding (Sennrich et al. 2016), the subword scheme
 //! RoBERTa-style encoders use (paper §3.2 cites BPE as the robust subword
 //! mechanism for rare words and domain terminology).
+//!
+//! Training works on symbol strings. Encoding works on interned ids:
+//! [`Bpe::from_merges`] gives every symbol a merge names or builds a `u32`
+//! id, and [`Bpe::encode_word`] merges id pairs through one
+//! `(left, right) → (rank, merged)` table, so a merge step allocates
+//! nothing and hashes one `u64`. The rule is the string encoder's: the
+//! lowest-rank pair merges first, the leftmost on ties; a pair listed twice
+//! keeps its last rank; a character no merge names stays its own symbol.
+//! `tests/bpe_equivalence.rs` pins the pieces to the string-keyed encoder.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// End-of-word marker appended to the last symbol of every word so merges
 /// can distinguish word-final pieces (`est</w>` vs `est`).
 const EOW: &str = "</w>";
 
+/// Hashes the `u64` keys of the encoder's tables: one multiply by an odd
+/// constant, then the high half folded into the low half so that both
+/// halves of a key reach the bucket bits.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// The `pairs` key of two adjacent symbol ids.
+fn pair_key(left: u32, right: u32) -> u64 {
+    u64::from(left) << 32 | u64::from(right)
+}
+
+/// The `initial` key of a word's character `c`, word-final or not.
+fn char_key(c: char, last: bool) -> u64 {
+    u64::from(u32::from(c)) << 1 | u64::from(last)
+}
+
 /// A trained BPE model: an ordered list of merges plus the symbol set.
 #[derive(Clone, Debug)]
 pub struct Bpe {
     merges: Vec<(String, String)>,
-    ranks: HashMap<(String, String), usize>,
+    /// Every symbol a merge names or builds, by id.
+    symbols: Vec<String>,
+    /// The id of each one-character symbol (`c`, or `c</w>` word-finally),
+    /// keyed by [`char_key`].
+    initial: IdMap<u32>,
+    /// `(rank, merged id)` of each merge, keyed by [`pair_key`] of its
+    /// sides; a pair listed twice keeps its last rank.
+    pairs: IdMap<(u32, u32)>,
 }
 
 impl Bpe {
@@ -61,9 +113,32 @@ impl Bpe {
     /// A model applying `merges` in order (the first merge has the highest
     /// priority), as [`merges`](Self::merges) lists them.
     pub fn from_merges(merges: Vec<(String, String)>) -> Self {
-        let ranks =
-            merges.iter().enumerate().map(|(i, (a, b))| ((a.clone(), b.clone()), i)).collect();
-        Bpe { merges, ranks }
+        let mut symbols: Vec<String> = Vec::new();
+        let mut ids: HashMap<String, u32> = HashMap::new();
+        let mut intern = |s: String| {
+            *ids.entry(s).or_insert_with_key(|s| {
+                symbols.push(s.clone());
+                (symbols.len() - 1) as u32
+            })
+        };
+        let mut pairs = IdMap::default();
+        for (rank, (a, b)) in merges.iter().enumerate() {
+            let merged = intern(format!("{a}{b}"));
+            let key = pair_key(intern(a.clone()), intern(b.clone()));
+            pairs.insert(key, (rank as u32, merged));
+        }
+        let mut initial = IdMap::default();
+        for (id, s) in symbols.iter().enumerate() {
+            let mut chars = s.chars();
+            if let Some(c) = chars.next() {
+                match chars.as_str() {
+                    "" => initial.insert(char_key(c, false), id as u32),
+                    EOW => initial.insert(char_key(c, true), id as u32),
+                    _ => None,
+                };
+            }
+        }
+        Bpe { merges, symbols, initial, pairs }
     }
 
     /// The learned merges in priority order.
@@ -79,27 +154,44 @@ impl Bpe {
     /// Encodes a single word into subword symbols. The final symbol carries
     /// the `</w>` marker.
     pub fn encode_word(&self, word: &str) -> Vec<String> {
-        if word.is_empty() {
-            return Vec::new();
+        // A character no merge names gets id `known + its byte offset`,
+        // which no merge can pair with.
+        let known = self.symbols.len() as u32;
+        let mut syms: Vec<u32> = Vec::with_capacity(word.len());
+        let mut chars = word.char_indices().peekable();
+        while let Some((at, c)) = chars.next() {
+            let key = char_key(c, chars.peek().is_none());
+            syms.push(self.initial.get(&key).copied().unwrap_or(known + at as u32));
         }
-        let mut syms = word_symbols(word);
         // Repeatedly apply the lowest-rank applicable merge, as in the
         // original BPE encoder.
         loop {
-            let mut best: Option<(usize, usize)> = None; // (rank, position)
+            let mut best: Option<(u32, usize, u32)> = None; // (rank, position, merged)
             for (i, pair) in syms.windows(2).enumerate() {
-                if let Some(&rank) = self.ranks.get(&(pair[0].clone(), pair[1].clone())) {
-                    if best.is_none_or(|(r, _)| rank < r) {
-                        best = Some((rank, i));
+                if let Some(&(rank, merged)) = self.pairs.get(&pair_key(pair[0], pair[1])) {
+                    if best.is_none_or(|(r, _, _)| rank < r) {
+                        best = Some((rank, i, merged));
                     }
                 }
             }
-            let Some((_, pos)) = best else { break };
-            let merged = format!("{}{}", syms[pos], syms[pos + 1]);
+            let Some((_, pos, merged)) = best else { break };
             syms[pos] = merged;
             syms.remove(pos + 1);
         }
-        syms
+        syms.into_iter()
+            .map(|id| match self.symbols.get(id as usize) {
+                Some(s) => s.clone(),
+                None => {
+                    let at = (id - known) as usize;
+                    let c = word[at..].chars().next().expect("a character starts here");
+                    if at + c.len_utf8() == word.len() {
+                        format!("{c}{EOW}")
+                    } else {
+                        c.to_string()
+                    }
+                }
+            })
+            .collect()
     }
 
     /// All symbols the encoder can emit over the given training words —
