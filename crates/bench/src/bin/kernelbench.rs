@@ -13,7 +13,8 @@
 //! Reported per matmul variant: ns/call and GFLOP/s in both modes. End to
 //! end: the serving forward (`predict_classes_batch`) and the fine-tuning
 //! train step, timed single-threaded in both configurations, plus the
-//! serving forward on the default pool. The two end-to-end arms are
+//! serving forward on the default pool. The summary names the
+//! `gemm_panel` build the host ran (`"gemm": "avx2"` or `"portable"`). The two end-to-end arms are
 //! interleaved: each round times both back to back, alternating which goes
 //! first, so drift in host speed lands on both arms alike; each arm reports
 //! its median with min and max over the rounds, and the gates compare
@@ -81,17 +82,20 @@ fn synth_seqs(count: usize, len: usize) -> Vec<Vec<usize>> {
 
 /// Mean ns per call over `reps` timed iterations (after `reps / 4` warm-up
 /// calls), single-threaded so the per-op numbers are scheduling-free.
-fn time_ns(reps: usize, mut f: impl FnMut()) -> f64 {
-    gs_par::with_threads(1, || {
-        for _ in 0..(reps / 4).max(1) {
-            f();
-        }
-        let start = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        start.elapsed().as_nanos() as f64 / reps as f64
-    })
+fn time_ns(reps: usize, f: impl FnMut()) -> f64 {
+    gs_par::with_threads(1, || time_ns_on_pool(reps, f))
+}
+
+/// [`time_ns`] on the default gs-par pool.
+fn time_ns_on_pool(reps: usize, mut f: impl FnMut()) -> f64 {
+    for _ in 0..(reps / 4).max(1) {
+        f();
+    }
+    let start = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / reps as f64
 }
 
 /// Puts the process in the seed ("before") or optimized ("after")
@@ -364,11 +368,15 @@ fn main() {
     // the path `predict_tags_batch` runs for every served micro-batch.
     configure(true);
     let serve_f32_ns = arena::scope(|| {
-        time_ns(fwd_reps, || {
+        time_ns_on_pool(fwd_reps, || {
             let _ = model.predict_classes_batch(&refs);
         })
     });
-    println!("{:>14}  f32 {serve_f32_ns:>10.0} ns", "serve fwd");
+    println!(
+        "{:>14}  f32 {serve_f32_ns:>10.0} ns on {} pool threads",
+        "serve fwd",
+        gs_par::max_threads()
+    );
 
     let host_cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     let gates_pass = forward_speedup >= FORWARD_GATE
@@ -379,6 +387,7 @@ fn main() {
         ("smoke", smoke.into()),
         ("reps", reps.into()),
         ("host_cores", Json::from(host_cores as u64)),
+        ("gemm", gs_tensor::kernels::gemm_build().into()),
         (
             "model",
             Json::obj(vec![
@@ -403,7 +412,13 @@ fn main() {
             Json::obj(fields)
         }),
         ("train_step", Json::obj(arms_json(&train))),
-        ("serve_forward", Json::obj(vec![("f32_ns", serve_f32_ns.into())])),
+        (
+            "serve_forward",
+            Json::obj(vec![
+                ("f32_ns", serve_f32_ns.into()),
+                ("pool_threads", gs_par::max_threads().into()),
+            ]),
+        ),
         (
             "gates",
             Json::obj(vec![

@@ -4,11 +4,14 @@
 //! machine-readable attribution summary.
 //!
 //! The headline number per phase is **coverage**: the fraction of phase
-//! wall time attributed to named kernel ops by the profiler. The harness
-//! fails (exit 1) when forward or train-step coverage drops below
-//! `--min-coverage` (default 0.9) — a regression there means somebody
-//! added un-instrumented work to a hot path. (The floor was 0.95 before
-//! the blocked kernels and the buffer arena; with kernel time ~2.5x
+//! wall time attributed to named kernel ops by the profiler. The forward
+//! and train-step phases run on one pool thread, so op samples never
+//! overlap and coverage is at most 1 by construction (on the default pool,
+//! ops timed on several workers at once summed to more than the wall
+//! time). The harness fails (exit 1) when forward or train-step coverage
+//! drops below `--min-coverage` (default 0.9) — a regression there means
+//! somebody added un-instrumented work to a hot path. (The floor was 0.95
+//! before the blocked kernels and the buffer arena; with kernel time ~2.5x
 //! smaller, per-node tape bookkeeping between instrumented ops is now a
 //! visible single-digit share of the train step.)
 //!
@@ -204,14 +207,16 @@ fn main() {
     let model = TokenClassifier::new(config.clone(), VOCAB, num_classes, 42);
 
     // Phase 1: packed inference forward (the serving kernel), reps ×
-    // one batch of sequences.
+    // one batch of sequences, on one pool thread.
     let seqs = synth_seqs(if smoke { 4 } else { 16 }, 48);
     let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
     let _warm = model.predict_classes_batch(&refs);
     let (fwd_wall, fwd_snapshot, _) = profiled_phase(|| {
-        for _ in 0..reps {
-            let _ = model.predict_classes_batch(&refs);
-        }
+        gs_par::with_threads(1, || {
+            for _ in 0..reps {
+                let _ = model.predict_classes_batch(&refs);
+            }
+        })
     });
     let fwd_cov = coverage(fwd_wall, &fwd_snapshot);
     println!(
@@ -223,7 +228,8 @@ fn main() {
     print!("{}", fwd_snapshot.table());
 
     // Phase 2: fine-tuning train steps (taped forward + backward + the
-    // optimizer path) over a synthetic token-classification task.
+    // optimizer path) over a synthetic token-classification task, on one
+    // pool thread.
     let examples: Vec<TrainExample> = synth_seqs(if smoke { 8 } else { 32 }, 32)
         .into_iter()
         .map(|ids| {
@@ -242,8 +248,11 @@ fn main() {
         ..Default::default()
     };
     let mut train_model = TokenClassifier::new(config.clone(), VOCAB, num_classes, 43);
-    let (train_wall, train_snapshot, stats) =
-        profiled_phase(|| train_token_classifier(&mut train_model, &examples, &train_config));
+    let (train_wall, train_snapshot, stats) = profiled_phase(|| {
+        gs_par::with_threads(1, || {
+            train_token_classifier(&mut train_model, &examples, &train_config)
+        })
+    });
     let train_cov = coverage(train_wall, &train_snapshot);
     println!(
         "train_step wall {:>8.3}s coverage {:>5.1}% ({} rows, final loss {:.4})",

@@ -120,7 +120,14 @@ pub fn train_token_classifier_cb(
                     let loss_val = f64::from(tape.value(loss).item());
                     let mut grads = tape.backward(loss);
                     let pairs = binder.take_param_grads(&mut grads);
-                    (loss_val, pairs, tape.first_numeric_issue(), tape.len())
+                    let (issue, tape_len) = (tape.first_numeric_issue(), tape.len());
+                    drop(binder);
+                    // Returning the tape's values and gradients to the arena.
+                    prof::time_at(prof_on, "train", "release_tape", prof::Cost::zero(), || {
+                        drop(grads);
+                        drop(tape);
+                    });
+                    (loss_val, pairs, issue, tape_len)
                 });
                 // Fold shards in batch order: loss totals and gradient sums see
                 // contributions in exactly the serial order, so every float is

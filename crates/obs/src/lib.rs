@@ -12,7 +12,7 @@
 //! ## Design
 //!
 //! A process has at most one installed [`Collector`]. Instrumented code
-//! calls the free functions in this module ([`span`], [`counter`],
+//! calls the free functions in this module ([`span`](fn@span), [`counter`],
 //! [`observe`], [`emit`], ...), which short-circuit on a single relaxed
 //! atomic load when nothing is installed — the instrumented hot paths cost
 //! nothing in production unless someone is watching.

@@ -1,7 +1,7 @@
 //! Op-level kernel profiler: per-op wall time, flop, and byte accounting
 //! with roofline columns and flamegraph-compatible collapsed-stack output.
 //!
-//! Where [`crate::span`] answers "which pipeline stage is slow", this module
+//! Where [`crate::span`](fn@crate::span) answers "which pipeline stage is slow", this module
 //! answers "which *kernel* the milliseconds go to": every instrumented op
 //! (matmul, softmax, layer-norm, ...) records its wall time together with an
 //! estimate of the floating-point work and memory traffic it performed, keyed

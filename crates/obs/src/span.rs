@@ -1,13 +1,13 @@
 //! Hierarchical spans: scoped RAII timers with parent/child nesting and
 //! per-span counters.
 //!
-//! A [`Span`] is created with [`crate::span`]; while it lives, spans opened
+//! A [`Span`] is created with [`crate::span`](fn@crate::span); while it lives, spans opened
 //! on the same thread become its children (their `path` is prefixed with the
 //! parent chain, `"a/b/c"` style). Dropping the span records its duration
 //! into the histogram `span.<name>` and emits a `"span"` event carrying the
 //! full path, the duration in microseconds, and any per-span counters.
 //!
-//! When no collector is installed, [`crate::span`] returns a no-op guard
+//! When no collector is installed, [`crate::span`](fn@crate::span) returns a no-op guard
 //! without reading the clock or allocating.
 
 use crate::event::Event;

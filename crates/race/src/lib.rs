@@ -11,7 +11,7 @@
 //!    annotation. Without the `model` feature they compile to plain std
 //!    (zero-cost, pinned by an overhead test). With it, a runtime gate
 //!    routes every op through a recorder.
-//! 2. **[`model`]** (feature `model`) — a deterministic scheduler that
+//! 2. **`model`** (feature `model`) — a deterministic scheduler that
 //!    explores interleavings of small *models*: self-contained cores of the
 //!    real protocols rebuilt on [`sync`] primitives. Exhaustive DFS with an
 //!    iterative-deepening preemption bound, or bounded-random; failures
@@ -27,7 +27,7 @@
 //! location's release edge (so "`Relaxed` where `Release` is required"
 //! publication bugs show up as races), a `Relaxed` RMW continues a release
 //! sequence, `SeqCst` is treated as acquire+release. Values are explored
-//! sequentially consistently; see [`model`] for the precise scope.
+//! sequentially consistently; see the `model` module for the precise scope.
 
 #![warn(missing_docs)]
 

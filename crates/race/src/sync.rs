@@ -7,7 +7,7 @@
 //! `wrapper_overhead` test. With `cfg(feature = "model")` each operation
 //! first checks a runtime gate:
 //!
-//! - on a **model thread** (inside [`crate::model::explore`]) the op is a
+//! - on a **model thread** (inside `model::explore`) the op is a
 //!   scheduling point: the thread yields to the deterministic scheduler,
 //!   performs the real op once granted, and records it with the
 //!   execution's happens-before detector;

@@ -27,19 +27,12 @@ mod optim;
 mod tape;
 mod tensor;
 
-/// Recycling buffer arena backing every kernel allocation.
 pub mod arena;
-/// Analytic flop/byte estimates for profiled kernels.
 pub mod cost;
-/// Exportable graph mirror of recorded tapes.
 pub mod graph;
-/// Cache-blocked GEMM micro-kernels and kernel/gelu mode switches.
 pub mod kernels;
-/// Numeric sanitizer plumbing (global flag, issue types).
 pub mod sanitize;
-/// Checkpoint save/load for parameter stores.
 pub mod serialize;
-/// Shape rules shared by runtime checks and static analysis.
 pub mod shape;
 
 pub use eval::Evaluator;

@@ -18,7 +18,6 @@ mod tokenizer;
 mod vocab;
 mod wordpiece;
 
-/// IOB label schemes and span conversion.
 pub mod labels;
 
 pub use bpe::Bpe;
