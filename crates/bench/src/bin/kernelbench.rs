@@ -10,6 +10,9 @@
 //! - **after**: `KernelMode::Blocked` (packed panels + unrolled micro-
 //!   kernel), fast rational-tanh gelu, arena pool recycling buffers.
 //!
+//! The serving evaluator's fused attention has no reference form, so both
+//! forward arms run it; the train step's taped attention still switches.
+//!
 //! Reported per matmul variant: ns/call and GFLOP/s in both modes. End to
 //! end: the serving forward (`predict_classes_batch`) and the fine-tuning
 //! train step, timed single-threaded in both configurations, plus the
