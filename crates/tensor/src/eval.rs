@@ -155,10 +155,10 @@ impl TapeOps for Evaluator<'_> {
         unreachable!("serving runs without dropout")
     }
 
-    /// One fused pass per sequence runs every head without
-    /// building a per-head tensor. Sequences fan out across the gs-par pool
-    /// and write disjoint rows of the output, so the result is the same at
-    /// any pool size.
+    /// One fused pass per sequence (`attend`) runs every head
+    /// without building a per-head tensor. Sequences fan out across the
+    /// gs-par pool and write disjoint rows of the output, so the result is
+    /// the same at any pool size.
     fn attention(
         &self,
         q: Var,
