@@ -16,6 +16,18 @@ impl Args {
         Self::parse(std::env::args().skip(1))
     }
 
+    /// [`from_env`](Self::from_env) for a binary that refuses typos: exits
+    /// with status 2, naming each flag that is neither one of `known` nor
+    /// one of the telemetry flags every binary takes ([`crate::obs::FLAGS`]).
+    pub fn from_env_checked(bin: &str, known: &[&str]) -> Self {
+        let args = Self::from_env();
+        if let Err(err) = args.check_known(&[known, crate::obs::FLAGS].concat()) {
+            eprintln!("{bin}: {err}");
+            std::process::exit(2);
+        }
+        args
+    }
+
     /// Parses from an iterator of argument strings.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut out = Args::default();

@@ -85,11 +85,7 @@ const FLAGS: &[&str] = &[
 ];
 
 fn main() {
-    let args = Args::from_env();
-    if let Err(err) = args.check_known(&[FLAGS, gs_bench::obs::FLAGS].concat()) {
-        eprintln!("gs-served: {err}");
-        std::process::exit(2);
-    }
+    let args = Args::from_env_checked("gs-served", FLAGS);
     gs_bench::obs::init(&args);
 
     let extractor = match args.get("model") {

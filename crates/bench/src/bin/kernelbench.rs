@@ -17,23 +17,26 @@
 //! end: the serving forward (`predict_classes_batch`) and the fine-tuning
 //! train step, timed single-threaded in both configurations, plus the
 //! serving forward on the default pool. The summary names the
-//! `gemm_panel` build the host ran (`"gemm": "avx2"` or `"portable"`). The two end-to-end arms are
-//! interleaved: each round times both back to back, alternating which goes
-//! first, so drift in host speed lands on both arms alike; each arm reports
-//! its median with min and max over the rounds, and the gates compare
-//! medians. The after-forward additionally runs under `gs_obs::prof` so the
-//! gelu share of attributed forward time is pinned.
+//! `gemm_panel` build the host ran (`"gemm": "avx2"` or `"portable"`). The
+//! two end-to-end arms are interleaved: each round times both back to back,
+//! alternating which goes first, so drift in host speed lands on both arms
+//! alike; each arm reports its median with min and max over the rounds
+//! (`gs_bench::report::Samples`), and the gates compare medians. The
+//! after-forward additionally runs under `gs_obs::prof` so the gelu share
+//! of attributed forward time is pinned.
 //!
 //! Usage:
 //!   cargo run --release -p gs-bench --bin kernelbench -- [--smoke]
 //!       [--reps N] [--out PATH]
 //!
-//! Writes `results/BENCH_kernels.json`. In full mode (no `--smoke`) the
-//! bench **fails** (exit 1) unless the blocked forward's median is >= 2x
-//! the reference forward's, the train step's is >= 1.5x, and gelu is <= 10%
-//! of attributed forward time; `--smoke` still reports the ratios but skips
-//! enforcement (tiny smoke shapes are overhead-dominated).
+//! Writes `results/BENCH_kernels.json` through `gs_bench::report`. In full
+//! mode (no `--smoke`) the bench **fails** (exit 1) unless the blocked
+//! forward's median is >= 2x the reference forward's, the train step's
+//! is >= 1.5x, and gelu is <= 10% of attributed forward time; `--smoke`
+//! still reports the ratios but skips enforcement (tiny smoke shapes are
+//! overhead-dominated).
 
+use gs_bench::report::{self, Samples};
 use gs_bench::Args;
 use gs_models::transformer::{
     train_token_classifier, TokenClassifier, TrainConfig, TrainExample, TransformerConfig,
@@ -113,8 +116,8 @@ fn configure(after: bool) {
 /// Times the seed ("before", index 0) and optimized ("after", index 1)
 /// arms `rounds` times each with `sample(after)`, interleaved: every round
 /// runs both arms back to back and alternates which goes first. Returns
-/// each arm's samples in ns, sorted.
-fn interleaved(rounds: usize, mut sample: impl FnMut(bool) -> f64) -> [Vec<f64>; 2] {
+/// each arm's samples in ns.
+fn interleaved(rounds: usize, mut sample: impl FnMut(bool) -> f64) -> [Samples; 2] {
     let mut arms = [Vec::new(), Vec::new()];
     for round in 0..rounds {
         for after in [round % 2 == 1, round % 2 == 0] {
@@ -122,27 +125,7 @@ fn interleaved(rounds: usize, mut sample: impl FnMut(bool) -> f64) -> [Vec<f64>;
             arms[usize::from(after)].push(sample(after));
         }
     }
-    arms.map(|mut samples| {
-        samples.sort_by(f64::total_cmp);
-        samples
-    })
-}
-
-fn median(sorted: &[f64]) -> f64 {
-    sorted[sorted.len() / 2]
-}
-
-/// An end-to-end comparison as JSON: each arm's median with its range.
-fn arms_json([before, after]: &[Vec<f64>; 2]) -> Vec<(&'static str, Json)> {
-    vec![
-        ("before_ns", median(before).into()),
-        ("before_min_ns", before[0].into()),
-        ("before_max_ns", before[before.len() - 1].into()),
-        ("after_ns", median(after).into()),
-        ("after_min_ns", after[0].into()),
-        ("after_max_ns", after[after.len() - 1].into()),
-        ("speedup", Json::from(median(before) / median(after))),
-    ]
+    arms.map(Samples::new)
 }
 
 /// One matmul variant measured in both kernel modes.
@@ -236,7 +219,7 @@ fn train_examples(count: usize, len: usize) -> Vec<TrainExample> {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env_checked("kernelbench", &["smoke", "reps", "out"]);
     gs_bench::obs::init(&args);
     let smoke = args.has("smoke");
     let reps: usize = args.get_or("reps", if smoke { 5 } else { 40 });
@@ -301,12 +284,12 @@ fn main() {
             run()
         }
     });
-    let forward_speedup = median(&fwd[0]) / median(&fwd[1]);
+    let forward_speedup = fwd[0].median() / fwd[1].median();
     println!(
         "{:>14}  {:>10.0} -> {:>10.0} ns  ({forward_speedup:.2}x, medians of {rounds})",
         "forward e2e",
-        median(&fwd[0]),
-        median(&fwd[1])
+        fwd[0].median(),
+        fwd[1].median()
     );
 
     // The after-forward under the op profiler: how much of attributed time
@@ -359,12 +342,12 @@ fn main() {
             }
         })
     });
-    let train_speedup = median(&train[0]) / median(&train[1]);
+    let train_speedup = train[0].median() / train[1].median();
     println!(
         "{:>14}  {:>10.0} -> {:>10.0} ns  ({train_speedup:.2}x, medians of {rounds})",
         "train e2e",
-        median(&train[0]),
-        median(&train[1])
+        train[0].median(),
+        train[1].median()
     );
 
     // Serving forward in the after configuration, on the default pool:
@@ -381,15 +364,11 @@ fn main() {
         gs_par::max_threads()
     );
 
-    let host_cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     let gates_pass = forward_speedup >= FORWARD_GATE
         && train_speedup >= TRAIN_GATE
         && gelu_share <= GELU_SHARE_GATE;
-    let summary = Json::obj(vec![
-        ("bench", "kernelbench".into()),
-        ("smoke", smoke.into()),
+    let sections = vec![
         ("reps", reps.into()),
-        ("host_cores", Json::from(host_cores as u64)),
         ("gemm", gs_tensor::kernels::gemm_build().into()),
         (
             "model",
@@ -409,19 +388,24 @@ fn main() {
         ),
         ("ops", Json::Arr(vec![mm, mmtb, mmta, gelu, softmax])),
         ("rounds", rounds.into()),
-        ("forward", {
-            let mut fields = arms_json(&fwd);
-            fields.push(("gelu_share_of_attributed", gelu_share.into()));
-            Json::obj(fields)
-        }),
-        ("train_step", Json::obj(arms_json(&train))),
         (
-            "serve_forward",
+            "forward",
             Json::obj(vec![
-                ("f32_ns", serve_f32_ns.into()),
-                ("pool_threads", gs_par::max_threads().into()),
+                ("before_ns", fwd[0].to_json()),
+                ("after_ns", fwd[1].to_json()),
+                ("speedup", forward_speedup.into()),
+                ("gelu_share_of_attributed", gelu_share.into()),
             ]),
         ),
+        (
+            "train_step",
+            Json::obj(vec![
+                ("before_ns", train[0].to_json()),
+                ("after_ns", train[1].to_json()),
+                ("speedup", train_speedup.into()),
+            ]),
+        ),
+        ("serve_forward", Json::obj(vec![("f32_ns", serve_f32_ns.into())])),
         (
             "gates",
             Json::obj(vec![
@@ -432,12 +416,8 @@ fn main() {
                 ("pass", gates_pass.into()),
             ]),
         ),
-    ]);
-
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&out, summary.to_pretty_string()).expect("write summary");
+    ];
+    report::write(&out, "kernelbench", smoke, sections).expect("write report");
     println!("wrote {out}");
 
     // Leave the process in the default (optimized) configuration.

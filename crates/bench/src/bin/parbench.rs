@@ -4,7 +4,8 @@
 //!
 //! Every cell runs the identical workload (gs-par guarantees bit-identical
 //! results at every pool size), so the only variable is wall-clock. Each
-//! cell reports the median of `--trials` runs; `host_cores` records
+//! cell reports the median of `--trials` runs with their min and max; the
+//! report envelope's `host_cores` records
 //! `std::thread::available_parallelism()` because speedups are physically
 //! bounded by it — on a single-core host every multi-thread cell measures
 //! pure pool overhead, not scaling.
@@ -13,8 +14,9 @@
 //!   cargo run --release -p gs-bench --bin parbench --
 //!       [--trials N] [--out PATH]
 //!
-//! Writes `results/BENCH_par.json`.
+//! Writes `results/BENCH_par.json` through `gs_bench::report`.
 
+use gs_bench::report::{self, Samples};
 use gs_bench::Args;
 use gs_core::Objective;
 use gs_models::transformer::{
@@ -26,20 +28,20 @@ use std::time::Instant;
 
 const THREADS: &[usize] = &[1, 2, 4, 8];
 
-/// Runs `work` once per trial under an N-thread pool and returns the
-/// median wall-clock in milliseconds.
-fn time_cell(threads: usize, trials: usize, mut work: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..trials)
-        .map(|_| {
-            gs_par::with_threads(threads, || {
-                let start = Instant::now();
-                work();
-                start.elapsed().as_secs_f64() * 1e3
+/// Runs `work` once per trial under an N-thread pool; returns each trial's
+/// wall-clock in milliseconds.
+fn time_cell(threads: usize, trials: usize, mut work: impl FnMut()) -> Samples {
+    Samples::new(
+        (0..trials)
+            .map(|_| {
+                gs_par::with_threads(threads, || {
+                    let start = Instant::now();
+                    work();
+                    start.elapsed().as_secs_f64() * 1e3
+                })
             })
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+            .collect(),
+    )
 }
 
 /// One benchmark dimension: a name plus a closure running the workload.
@@ -50,13 +52,13 @@ fn run_dimension(name: &str, trials: usize, mut work: impl FnMut()) -> Json {
     let mut baseline = None;
     for &threads in THREADS {
         let ms = time_cell(threads, trials, &mut work);
-        let base = *baseline.get_or_insert(ms);
-        let speedup = base / ms.max(1e-9);
-        println!("{name:12} threads={threads}: {ms:8.1} ms  speedup {speedup:4.2}x");
+        let base = *baseline.get_or_insert(ms.median());
+        let speedup = base / ms.median().max(1e-9);
+        println!("{name:12} threads={threads}: {:8.1} ms  speedup {speedup:4.2}x", ms.median());
         gs_obs::gauge(&format!("par.{name}.speedup.{threads}"), speedup);
         cells.push(Json::obj(vec![
             ("threads", Json::from(threads as u64)),
-            ("median_ms", Json::from(ms)),
+            ("ms", ms.to_json()),
             ("speedup_vs_1", Json::from(speedup)),
         ]));
     }
@@ -78,7 +80,7 @@ fn paper_examples(n: usize, config: &TransformerConfig, num_classes: usize) -> V
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env_checked("parbench", &["trials", "out"]);
     gs_bench::obs::init(&args);
     let trials: usize = args.get_or("trials", 3);
     let out = args.get("out").unwrap_or("results/BENCH_par.json").to_string();
@@ -131,10 +133,7 @@ fn main() {
         let _ = extractor.extract_batch(&texts);
     });
 
-    let host_cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let summary = Json::obj(vec![
-        ("benchmark", Json::from("gs-par thread scaling")),
-        ("host_cores", Json::from(host_cores as u64)),
+    let sections = vec![
         ("trials", Json::from(trials as u64)),
         (
             "note",
@@ -144,12 +143,9 @@ fn main() {
             ),
         ),
         ("dimensions", Json::Arr(vec![forward, train_step, serve])),
-    ]);
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(&out, summary.to_string()).expect("write summary");
-    println!("wrote {out} (host_cores={host_cores})");
+    ];
+    report::write(&out, "parbench", false, sections).expect("write report");
+    println!("wrote {out}");
 }
 
 fn goalspotter_dataset() -> gs_data::Dataset {

@@ -20,10 +20,12 @@
 //!       [--smoke] [--reps N] [--out PATH] [--collapsed-out PATH]
 //!       [--min-coverage F] [--obs-jsonl PATH] [--no-obs] [--no-obs-report]
 //!
-//! Writes `results/BENCH_prof.json` (top-op tables, roofline columns,
-//! coverage per phase) and `results/BENCH_prof.collapsed` (flamegraph-
-//! compatible collapsed stacks, lines prefixed with the phase name).
+//! Writes `results/BENCH_prof.json` through `gs_bench::report` (top-op
+//! tables, roofline columns, coverage per phase) and
+//! `results/BENCH_prof.collapsed` (flamegraph-compatible collapsed stacks,
+//! lines prefixed with the phase name).
 
+use gs_bench::report::{self, Samples};
 use gs_bench::Args;
 use gs_models::transformer::{
     train_token_classifier, TokenClassifier, TrainConfig, TrainExample, TransformerConfig,
@@ -136,13 +138,13 @@ impl ExtractEngine for TokenEngine {
 }
 
 /// Drives `clients` closed-loop clients against the profiler-bench server;
-/// returns sorted latencies, ok count, and how many responses carried a
+/// returns latencies in seconds, ok count, and how many responses carried a
 /// trace id (every one should).
 fn drive_serve(
     addr: std::net::SocketAddr,
     clients: usize,
     requests: usize,
-) -> (Vec<Duration>, usize, usize) {
+) -> (Samples, usize, usize) {
     let mut per_client = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -158,7 +160,7 @@ fn drive_serve(
                         let sent = Instant::now();
                         let resp = client.post_json("/v1/extract", &body).expect("request");
                         if resp.status == 200 {
-                            latencies.push(sent.elapsed());
+                            latencies.push(sent.elapsed().as_secs_f64());
                             ok += 1;
                             if resp.header("x-trace-id").is_some_and(|id| id.len() == 16) {
                                 traced += 1;
@@ -180,20 +182,14 @@ fn drive_serve(
         ok += o;
         traced += t;
     }
-    latencies.sort();
-    (latencies, ok, traced)
-}
-
-fn quantile(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx].as_secs_f64()
+    (Samples::new(latencies), ok, traced)
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env_checked(
+        "profbench",
+        &["smoke", "reps", "min-coverage", "out", "collapsed-out"],
+    );
     gs_bench::obs::init(&args);
     let smoke = args.has("smoke");
     let reps: usize = args.get_or("reps", if smoke { 3 } else { 20 });
@@ -284,16 +280,14 @@ fn main() {
         serve_wall.as_secs_f64(),
         ok,
         traced,
-        quantile(&latencies, 0.99) * 1e3,
+        latencies.quantile(0.99) * 1e3,
         traces_recorded,
     );
     print!("{}", serve_snapshot.table());
     assert_eq!(traced, ok, "every 200 response must carry a 16-hex x-trace-id");
     assert!(traces_recorded > 0, "flight recorder captured no traces");
 
-    let summary = Json::obj(vec![
-        ("bench", "profbench".into()),
-        ("smoke", smoke.into()),
+    let sections = vec![
         ("reps", reps.into()),
         (
             "model",
@@ -320,9 +314,9 @@ fn main() {
                         (
                             "latency_seconds",
                             Json::obj(vec![
-                                ("p50", Json::from(quantile(&latencies, 0.50))),
-                                ("p95", Json::from(quantile(&latencies, 0.95))),
-                                ("p99", Json::from(quantile(&latencies, 0.99))),
+                                ("p50", Json::from(latencies.quantile(0.50))),
+                                ("p95", Json::from(latencies.quantile(0.95))),
+                                ("p99", Json::from(latencies.quantile(0.99))),
                             ]),
                         ),
                         ("top_ops", top_ops_json(&serve_snapshot, 12)),
@@ -339,12 +333,8 @@ fn main() {
                 ("pass", Json::from(fwd_cov >= min_coverage && train_cov >= min_coverage)),
             ]),
         ),
-    ]);
-
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&out, summary.to_pretty_string()).expect("write summary");
+    ];
+    report::write(&out, "profbench", smoke, sections).expect("write report");
     println!("wrote {out}");
 
     // Flamegraph-compatible collapsed stacks, phase-prefixed so one file

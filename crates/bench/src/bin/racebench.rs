@@ -16,14 +16,16 @@
 //!
 //! Usage:
 //!   cargo run --release -p gs-bench --bin racebench -- [--smoke] [--check]
-//!       [--trials N] [--out PATH] [--merge-from PATH]
+//!       [--trials N] [--claims N] [--threads N] [--out PATH] [--merge-from PATH]
 //!
-//! Writes `results/BENCH_race.json`. The canonical file combines both
-//! builds: run the `race-model` build first, then the default build with
-//! `--merge-from` pointing at the first run's output — the passthrough
-//! overhead numbers (the ones the 1.05x gate is about) replace the gated
-//! ones while the exploration/mutation sections are carried over.
+//! Writes `results/BENCH_race.json` through `gs_bench::report`. The
+//! canonical file combines both builds: run the `race-model` build first,
+//! then the default build with `--merge-from` pointing at the first run's
+//! output — the passthrough overhead numbers (the ones the 1.05x gate is
+//! about) replace the gated ones while the exploration/mutation sections
+//! are carried over.
 
+use gs_bench::report::{self, Samples};
 use gs_bench::Args;
 use gs_serve::Json;
 use std::time::Instant;
@@ -96,11 +98,6 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn overhead_section(trials: usize, total: usize, threads: usize) -> (Json, f64) {
     // Warm both paths (thread spawn, allocator, wrapper gate).
     std::hint::black_box(stress_wrapped(threads, total / 4));
@@ -122,18 +119,19 @@ fn overhead_section(trials: usize, total: usize, threads: usize) -> (Json, f64) 
         wrapped.push(w);
         raw.push(r);
     }
-    let wrapped_ms = median(wrapped);
-    let raw_ms = median(raw);
-    let factor = median(ratios);
+    let (wrapped, raw) = (Samples::new(wrapped), Samples::new(raw));
+    let factor = Samples::new(ratios).median();
     println!(
-        "pool stress ({threads} threads, {total} claims): wrapped {wrapped_ms:.2} ms, \
-         raw {raw_ms:.2} ms, overhead {factor:.3}x"
+        "pool stress ({threads} threads, {total} claims): wrapped {:.2} ms, \
+         raw {:.2} ms, overhead {factor:.3}x",
+        wrapped.median(),
+        raw.median()
     );
     let json = Json::obj(vec![
         ("threads", Json::from(threads as u64)),
         ("claims", Json::from(total as u64)),
-        ("wrapped_median_ms", Json::from(wrapped_ms)),
-        ("raw_median_ms", Json::from(raw_ms)),
+        ("wrapped_ms", wrapped.to_json()),
+        ("raw_ms", raw.to_json()),
         ("overhead_factor", Json::from(factor)),
         ("instrumentation_compiled", Json::from(cfg!(feature = "race-model"))),
     ]);
@@ -225,7 +223,10 @@ fn model_sections(_smoke: bool) -> (Json, Json) {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env_checked(
+        "racebench",
+        &["smoke", "check", "trials", "claims", "threads", "out", "merge-from"],
+    );
     gs_bench::obs::init(&args);
     let smoke = args.has("smoke");
     let trials: usize = args.get_or("trials", if smoke { 3 } else { 5 });
@@ -251,17 +252,8 @@ fn main() {
         }
     }
 
-    let summary = Json::obj(vec![
-        ("benchmark", Json::from("gs-race model checker & instrumentation")),
-        ("smoke", Json::from(smoke)),
-        ("overhead", overhead),
-        ("exploration", explore),
-        ("mutation", mutation),
-    ]);
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(&out, summary.to_string()).expect("write summary");
+    let sections = vec![("overhead", overhead), ("exploration", explore), ("mutation", mutation)];
+    report::write(&out, "racebench", smoke, sections).expect("write report");
     println!("wrote {out}");
 
     // The product gate: the disabled instrumentation path must be free.

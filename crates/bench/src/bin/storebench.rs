@@ -9,8 +9,9 @@
 //!
 //! `--smoke` shrinks every dimension for CI (a few hundred records); the
 //! full run defaults to 5000 records per cell. Writes
-//! `results/BENCH_store.json`.
+//! `results/BENCH_store.json` through `gs_bench::report`.
 
+use gs_bench::report::{self, Samples};
 use gs_bench::Args;
 use gs_serve::Json;
 use gs_store::{ObjectiveDb, ObjectiveRecord, StoreConfig, SyncPolicy};
@@ -143,20 +144,20 @@ fn read_under_write_dimension(n: usize, readers: usize) -> Json {
     }
     let stop = Arc::new(AtomicBool::new(false));
 
-    let (write_secs, written, mut latencies) = std::thread::scope(|scope| {
+    let (write_secs, written, latencies) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..readers)
             .map(|r| {
                 let db = db.clone();
                 let stop = stop.clone();
                 scope.spawn(move || {
                     let mut reader = db.reader();
-                    let mut samples: Vec<u64> = Vec::new();
+                    let mut samples: Vec<f64> = Vec::new();
                     let mut i = r;
                     while !stop.load(Ordering::Relaxed) {
                         let company = format!("Company-{:03}", i % 200);
                         let start = Instant::now();
                         let records = reader.by_company(&company);
-                        samples.push(start.elapsed().as_nanos() as u64);
+                        samples.push(start.elapsed().as_nanos() as f64);
                         std::hint::black_box(records.len());
                         i += 1;
                     }
@@ -175,27 +176,20 @@ fn read_under_write_dimension(n: usize, readers: usize) -> Json {
         for handle in handles {
             all.extend(handle.join().expect("reader thread"));
         }
-        (write_secs, n - n / 2, all)
+        (write_secs, n - n / 2, Samples::new(all))
     });
 
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        latencies[((latencies.len() - 1) as f64 * p) as usize]
-    };
-    let (p50, p99) = (pct(0.50), pct(0.99));
+    let (p50, p99) = (latencies.quantile(0.50), latencies.quantile(0.99));
     println!(
         "reads under write load: {} samples, p50 {p50} ns, p99 {p99} ns; \
          writer sustained {:.0} upserts/s",
-        latencies.len(),
+        latencies.n(),
         written as f64 / write_secs.max(1e-9)
     );
     Json::obj(vec![
         ("dimension", Json::from("read_under_write")),
         ("reader_threads", Json::from(readers as u64)),
-        ("read_samples", Json::from(latencies.len() as u64)),
+        ("read_samples", Json::from(latencies.n())),
         ("read_p50_ns", Json::from(p50)),
         ("read_p99_ns", Json::from(p99)),
         ("writer_upserts_per_sec", Json::from(written as f64 / write_secs.max(1e-9))),
@@ -203,7 +197,7 @@ fn read_under_write_dimension(n: usize, readers: usize) -> Json {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env_checked("storebench", &["records", "smoke", "out"]);
     let collector = gs_bench::obs::init(&args);
     let smoke = args.has("smoke");
     let n: usize = args.get_or("records", if smoke { 200 } else { 5000 });
@@ -218,20 +212,13 @@ fn main() {
     let recovery = recovery_dimension(&recovery_sizes);
     let reads = read_under_write_dimension(n, 4);
 
-    let host_cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let summary = Json::obj(vec![
-        ("benchmark", Json::from("gs-store log-structured objective database")),
-        ("host_cores", Json::from(host_cores as u64)),
-        ("smoke", Json::from(smoke)),
+    let sections = vec![
         ("records_per_cell", Json::from(n as u64)),
         ("upsert_throughput", upserts),
         ("recovery", recovery),
         ("concurrent_reads", reads),
-    ]);
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(&out, summary.to_string()).expect("write summary");
+    ];
+    report::write(&out, "storebench", smoke, sections).expect("write report");
     println!("wrote {out}");
     drop(collector);
     gs_bench::obs::finish(&args);

@@ -1,9 +1,12 @@
 //! # gs-bench
 //!
-//! Shared harness code for the table/figure reproduction binaries:
-//! approach construction, multi-seed comparison runs, and a tiny CLI-flag
-//! parser. Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index).
+//! Shared harness code for the binaries in `src/bin/`: approach
+//! construction and multi-seed comparison runs for the table/figure
+//! reproductions (each regenerates one table or figure of the paper; see
+//! DESIGN.md's experiment index), a tiny CLI-flag parser, and the one
+//! report schema ([`report`]) the five bench bins (kernelbench, profbench,
+//! storebench, racebench, parbench) write their `results/BENCH_*.json`
+//! through.
 
 #![warn(missing_docs)]
 
@@ -11,6 +14,7 @@ pub mod args;
 pub mod comparison;
 pub mod deploy;
 pub mod obs;
+pub mod report;
 
 pub use args::Args;
 pub use comparison::{compare_approaches, ApproachKind, ApproachRow, ComparisonOptions};

@@ -161,9 +161,10 @@ impl TransformerExtractor {
 
     /// Predicts word-level tags for a new objective, returning the
     /// case-preserved normalized text, its word tokens, and one tag per
-    /// word.
+    /// word: [`predict_tags_batch`](Self::predict_tags_batch) on a batch of
+    /// one.
     pub fn predict_tags(&self, text: &str) -> (String, Vec<PreToken>, Vec<Tag>) {
-        predict_tags_impl(&self.tokenizer, &self.case_normalizer, &self.labels, &self.model, text)
+        self.predict_tags_batch(&[text]).pop().expect("one text in, one out")
     }
 
     /// Batched [`predict_tags`](Self::predict_tags): encodes every text,
@@ -175,54 +176,26 @@ impl TransformerExtractor {
     /// layer's micro-batcher uses to amortize the forward across
     /// concurrent requests.
     pub fn predict_tags_batch(&self, texts: &[&str]) -> Vec<(String, Vec<PreToken>, Vec<Tag>)> {
-        // Per-text tokenization is independent and dominates the
-        // non-forward cost of a batch, so it fans out across the gs-par
-        // pool; map_collect preserves index order, keeping the output
-        // positionally identical to the serial loop.
-        let prof_on = prof::enabled();
-        let inputs: Vec<InferenceInput> = gs_par::map_collect(texts.len(), |i| {
-            prof::time_at(prof_on, "tokenize", "encode", prof::Cost::zero(), || {
-                encode_for_inference(
-                    &self.tokenizer,
-                    &self.case_normalizer,
-                    self.model.config().max_len,
-                    texts[i],
-                )
-            })
-        });
-        let seqs: Vec<&[usize]> = inputs.iter().map(|i| i.ids.as_slice()).collect();
-        let classes = self.model.predict_classes_batch(&seqs);
-        inputs
-            .into_iter()
-            .zip(classes)
-            .map(|(input, classes)| {
-                prof::time_at(prof_on, "decode", "collapse", prof::Cost::zero(), || {
-                    decode_predictions(&self.labels, input, &classes)
-                })
-            })
-            .collect()
+        self.view().predict_tags_batch(texts)
     }
 
     /// Batched [`DetailExtractor::extract`]: one packed forward for all
     /// texts, then per-text decoding. Positionally identical to calling
-    /// `extract` per text.
+    /// `extract` per text, which is a batch of one.
     pub fn extract_batch(&self, texts: &[&str]) -> Vec<ExtractedDetails> {
-        self.predict_tags_batch(texts)
-            .into_iter()
-            .map(|(case_text, tokens, tags)| {
-                if tags.is_empty() {
-                    ExtractedDetails::new()
-                } else {
-                    decode_details(
-                        &case_text,
-                        &tokens,
-                        &tags,
-                        &self.labels,
-                        self.options.multi_span,
-                    )
-                }
-            })
-            .collect()
+        self.view().extract_batch(texts)
+    }
+
+    /// The trained extractor seen through the one inference path that
+    /// checkpoint views also run.
+    fn view(&self) -> ExtractorView<'_> {
+        ExtractorView {
+            tokenizer: &self.tokenizer,
+            case_normalizer: &self.case_normalizer,
+            labels: &self.labels,
+            model: &self.model,
+            multi_span: self.options.multi_span,
+        }
     }
 }
 
@@ -292,27 +265,10 @@ fn decode_predictions(
     }
 }
 
-/// Shared production-phase inference, usable both by the trained extractor
-/// and by mid-training checkpoint views.
-fn predict_tags_impl(
-    tokenizer: &Tokenizer,
-    case_normalizer: &Normalizer,
-    labels: &LabelSet,
-    model: &TokenClassifier,
-    text: &str,
-) -> (String, Vec<PreToken>, Vec<Tag>) {
-    let prof_on = prof::enabled();
-    let input = prof::time_at(prof_on, "tokenize", "encode", prof::Cost::zero(), || {
-        encode_for_inference(tokenizer, case_normalizer, model.config().max_len, text)
-    });
-    let classes = model.predict_classes(&input.ids);
-    prof::time_at(prof_on, "decode", "collapse", prof::Cost::zero(), || {
-        decode_predictions(labels, input, &classes)
-    })
-}
-
 /// A borrowed view over a model mid-training, letting checkpoint callbacks
-/// evaluate extraction quality without cloning the model.
+/// evaluate extraction quality without cloning the model. It holds the
+/// production-phase inference path, which the trained extractor runs
+/// through a view of itself.
 pub struct ExtractorView<'a> {
     tokenizer: &'a Tokenizer,
     case_normalizer: &'a Normalizer,
@@ -321,18 +277,59 @@ pub struct ExtractorView<'a> {
     multi_span: MultiSpanPolicy,
 }
 
+impl ExtractorView<'_> {
+    /// See [`TransformerExtractor::predict_tags_batch`].
+    fn predict_tags_batch(&self, texts: &[&str]) -> Vec<(String, Vec<PreToken>, Vec<Tag>)> {
+        // Per-text tokenization is independent and dominates the
+        // non-forward cost of a batch, so it fans out across the gs-par
+        // pool; map_collect preserves index order, keeping the output
+        // positionally identical to the serial loop.
+        let prof_on = prof::enabled();
+        let inputs: Vec<InferenceInput> = gs_par::map_collect(texts.len(), |i| {
+            prof::time_at(prof_on, "tokenize", "encode", prof::Cost::zero(), || {
+                encode_for_inference(
+                    self.tokenizer,
+                    self.case_normalizer,
+                    self.model.config().max_len,
+                    texts[i],
+                )
+            })
+        });
+        let seqs: Vec<&[usize]> = inputs.iter().map(|i| i.ids.as_slice()).collect();
+        let classes = self.model.predict_classes_batch(&seqs);
+        inputs
+            .into_iter()
+            .zip(classes)
+            .map(|(input, classes)| {
+                prof::time_at(prof_on, "decode", "collapse", prof::Cost::zero(), || {
+                    decode_predictions(self.labels, input, &classes)
+                })
+            })
+            .collect()
+    }
+
+    /// See [`TransformerExtractor::extract_batch`].
+    fn extract_batch(&self, texts: &[&str]) -> Vec<ExtractedDetails> {
+        self.predict_tags_batch(texts)
+            .into_iter()
+            .map(|(case_text, tokens, tags)| {
+                if tags.is_empty() {
+                    ExtractedDetails::new()
+                } else {
+                    decode_details(&case_text, &tokens, &tags, self.labels, self.multi_span)
+                }
+            })
+            .collect()
+    }
+}
+
 impl DetailExtractor for ExtractorView<'_> {
     fn name(&self) -> &str {
         "checkpoint"
     }
 
     fn extract(&self, text: &str) -> ExtractedDetails {
-        let (case_text, tokens, tags) =
-            predict_tags_impl(self.tokenizer, self.case_normalizer, self.labels, self.model, text);
-        if tags.is_empty() {
-            return ExtractedDetails::new();
-        }
-        decode_details(&case_text, &tokens, &tags, self.labels, self.multi_span)
+        self.extract_batch(&[text]).pop().expect("one text in, one out")
     }
 }
 
@@ -492,11 +489,7 @@ impl DetailExtractor for TransformerExtractor {
     }
 
     fn extract(&self, text: &str) -> ExtractedDetails {
-        let (case_text, tokens, tags) = self.predict_tags(text);
-        if tags.is_empty() {
-            return ExtractedDetails::new();
-        }
-        decode_details(&case_text, &tokens, &tags, &self.labels, self.options.multi_span)
+        self.view().extract(text)
     }
 }
 

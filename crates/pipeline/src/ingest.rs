@@ -333,6 +333,50 @@ pub(crate) mod tests {
         assert_eq!(store.reader().export_json(), stored);
     }
 
+    /// The bar the ingest pipeline must clear to run unattended: over 48
+    /// generated reports (seeds 100-147), a detected unit is a true
+    /// positive when it overlaps a planted objective's bytes; precision
+    /// and recall must both reach 0.9.
+    #[test]
+    fn detection_precision_and_recall_clear_the_ingest_bar() {
+        let gs = tiny_ingest_system();
+        let db = ObjectiveDb::ephemeral(StoreConfig::default());
+        let overlaps = |a: (usize, usize), b: (usize, usize)| a.0 < b.1 && b.0 < a.1;
+        let (mut tp, mut fp, mut truth_hits, mut truths) = (0usize, 0usize, 0usize, 0usize);
+        for i in 0..48u64 {
+            let mut rng = Rng::seed_from_u64(100 + i);
+            let report = generate_full_report(
+                &format!("Company-{i:03}"),
+                &format!("CSR Report {}", 2020 + i % 7),
+                &FullReportConfig::default(),
+                &mut rng,
+            );
+            let (_, objectives) =
+                ingest_report_text(&gs, &report.company, "csr", &report.text, &db);
+            for o in &objectives {
+                if report.truths.iter().any(|t| overlaps(o.byte_range, t.span)) {
+                    tp += 1;
+                } else {
+                    fp += 1;
+                }
+            }
+            truths += report.truths.len();
+            truth_hits += report
+                .truths
+                .iter()
+                .filter(|t| objectives.iter().any(|o| overlaps(o.byte_range, t.span)))
+                .count();
+        }
+        let precision = tp as f64 / (tp + fp).max(1) as f64;
+        let recall = truth_hits as f64 / truths.max(1) as f64;
+        assert!(truths > 0);
+        assert!(
+            precision >= 0.9 && recall >= 0.9,
+            "precision {precision:.3} ({tp} of {}), recall {recall:.3} ({truth_hits} of {truths})",
+            tp + fp
+        );
+    }
+
     #[test]
     fn table_cell_precision_rejects_indicator_and_baseline_cells() {
         let gs = tiny_ingest_system();

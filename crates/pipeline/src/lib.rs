@@ -22,8 +22,6 @@ mod system;
 
 pub use evaluate::{evaluate_extractor, ApproachResult};
 pub use ingest::{ingest_report_text, ingest_snapshot, IngestStats, IngestedObjective};
-pub use produce::{
-    process_corpus, process_corpus_parallel, process_report, CompanyStats, ReportStats,
-};
+pub use produce::{process_corpus, process_report, CompanyStats, ReportStats};
 pub use serving::{DbStoreHook, ExtractorEngine};
 pub use system::{GoalSpotter, GoalSpotterConfig};

@@ -108,62 +108,6 @@ pub fn process_report(
     stats
 }
 
-/// Runs the corpus through the system using `threads` worker threads (the
-/// store is already thread-safe; reports are partitioned across workers).
-/// Produces the same totals as [`process_corpus`] — ordering of rows within
-/// the store differs, per-company aggregates do not.
-pub fn process_corpus_parallel(
-    gs: &GoalSpotter,
-    corpus: &DeploymentCorpus,
-    store: &(impl ObjectiveSink + ?Sized),
-    threads: usize,
-) -> Vec<CompanyStats> {
-    let threads = threads.max(1);
-    let chunk = corpus.reports.len().div_ceil(threads);
-    let mut all: Vec<(usize, String, ReportStats)> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = corpus
-            .reports
-            .chunks(chunk.max(1))
-            .enumerate()
-            .map(|(ci, reports)| {
-                scope.spawn(move || {
-                    reports
-                        .iter()
-                        .enumerate()
-                        .map(|(ri, report)| {
-                            (
-                                ci * chunk + ri,
-                                report.company.clone(),
-                                process_report(gs, report, store),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            all.extend(h.join().expect("worker panicked"));
-        }
-    });
-    all.sort_by_key(|(i, _, _)| *i);
-
-    let mut order: Vec<String> = Vec::new();
-    let mut stats: std::collections::HashMap<String, CompanyStats> =
-        std::collections::HashMap::new();
-    for (_, company, rs) in all {
-        let entry = stats.entry(company.clone()).or_insert_with(|| {
-            order.push(company.clone());
-            CompanyStats { company, ..Default::default() }
-        });
-        entry.documents += 1;
-        entry.pages += rs.pages;
-        entry.extracted_objectives += rs.detected;
-        entry.new_records += rs.inserted;
-    }
-    order.into_iter().map(|c| stats.remove(&c).expect("company stats")).collect()
-}
-
 /// Runs the full deployment corpus through the system, returning Table 5
 /// style per-company rows in corpus order.
 pub fn process_corpus(
@@ -254,26 +198,6 @@ mod tests {
             before,
             "store must be bit-identical after re-run"
         );
-    }
-
-    #[test]
-    fn parallel_processing_matches_sequential_totals() {
-        let gs = tiny_system();
-        let corpus = gs_data::deployment::generate_corpus(0.01, 3);
-        let seq_store = ObjectiveDb::new();
-        let seq = process_corpus(&gs, &corpus, &seq_store);
-        let par_store = ObjectiveDb::new();
-        let par = process_corpus_parallel(&gs, &corpus, &par_store, 4);
-        assert_eq!(seq_store.len(), par_store.len());
-        let total = |s: &[CompanyStats]| s.iter().map(|c| c.extracted_objectives).sum::<usize>();
-        assert_eq!(total(&seq), total(&par));
-        // Per-company aggregates identical.
-        for s in &seq {
-            let p = par.iter().find(|p| p.company == s.company).expect("company");
-            assert_eq!(p.extracted_objectives, s.extracted_objectives);
-            assert_eq!(p.documents, s.documents);
-            assert_eq!(p.pages, s.pages);
-        }
     }
 
     /// Records each batch the pipeline hands its store, acknowledging all.
