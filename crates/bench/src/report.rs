@@ -66,7 +66,6 @@ fn git_rev() -> String {
         .filter(|out| out.status.success())
         .and_then(|out| String::from_utf8(out.stdout).ok())
         .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
 }
 
@@ -102,7 +101,7 @@ impl Samples {
     pub fn quantile(&self, q: f64) -> f64 {
         match self.0.len() {
             0 => 0.0,
-            n => self.0[((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize],
+            n => self.0[((n - 1) as f64 * q).round() as usize],
         }
     }
 
